@@ -227,10 +227,8 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except FormatError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FormatError, OSError, ValueError) as exc:
+        # Bad values, unreadable files and malformed JSON (a ValueError).
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SvmvError as exc:

@@ -6,6 +6,12 @@ previous states and out-port labels, padded with epsilon up to the machine's
 degree bound, reduced to a set or multiset per the machine's reception
 class, and fed to the transition.  ``max_rounds`` is mandatory: there are no
 open-ended runs.
+
+Set-reception transitions are memoised per run: each distinct (state,
+received set) pair is passed to ``transition`` once, and every node holding
+that pair gets the same result.  ``transition`` must therefore be a pure
+function and states must be hashable.  Multiset reception calls
+``transition`` for every running node.
 """
 
 from __future__ import annotations
@@ -98,53 +104,71 @@ def execute(machine: StateMachine, graph: PortNumberedGraph,
                     f"local input {inputs.get(v)!r} of node {v!r} is outside "
                     f"the machine's input alphabet")
 
-    reduce = vmset_reduce if machine.reception_class == MV else vset_reduce
-    slot_order = {v: sorted(graph.neighbours(v),
-                            key=lambda u, v=v: _slot_key(graph.in_port(v, u)))
-                  for v in nodes}
+    emit, transition = machine.emit, machine.transition
+    stopping = machine.stopping
+    # Nodes are addressed by position in ``nodes``.  Per receiver, its
+    # (sender position, sender's out-port) slots in in-port order; the
+    # in-ports are integers, as ``require_runnable`` checked.
+    index = {v: i for i, v in enumerate(nodes)}
+    slots = [tuple((index[u], graph.out_port(u, v))
+                   for u in sorted(graph.neighbours(v),
+                                   key=lambda u, v=v: graph.in_port(v, u)))
+             for v in nodes]
+    pads = [(EPSILON,) * k for k in range(delta + 1)]
+    # Set reception: equal states hearing equal sets move to equal states,
+    # so each distinct (state, received) pair is computed once per run.
+    # Multisets (Counter) are unhashable and take the direct call.
+    memo = None if machine.reception_class == MV else {}
 
-    states = {v: machine.init(graph.degree(v), inputs.get(v)) for v in nodes}
-    stopped = {v: machine.stopping(states[v]) for v in nodes}
-    for v in nodes:
-        if stopped[v]:
-            _check_stop_contract(machine, states[v], delta)
+    states = [machine.init(graph.degree(v), inputs.get(v)) for v in nodes]
+    stopped = [stopping(state) for state in states]
+    for state, halted in zip(states, stopped):
+        if halted:
+            _check_stop_contract(machine, state, delta)
+    any_stopped = any(stopped)
     trace = ExecutionTrace(delta=delta)
-    trace.states.append(dict(states))
-    if all(stopped.values()):
+    trace.states.append(dict(zip(nodes, states)))
+    if all(stopped):
         trace.stopped_round = 0
         return trace
 
     for r in range(1, max_rounds + 1):
-        delivered = {}
-        for v in nodes:
-            msgs = tuple(machine.emit(states[u], graph.out_port(u, v))
-                         for u in slot_order[v])
-            for u, m in zip(slot_order[v], msgs):
-                if stopped[u] and m is not EPSILON:
-                    raise MachineContractError(
-                        f"stopped node {u!r} emitted {m!r} in round {r}")
-            delivered[v] = msgs + (EPSILON,) * (delta - len(msgs))
-        next_states = {}
-        for v in nodes:
-            if stopped[v]:
-                next_states[v] = states[v]
+        delivered = []
+        for slot in slots:
+            msgs = tuple([emit(states[u], port) for u, port in slot])
+            if any_stopped:
+                for (u, _), m in zip(slot, msgs):
+                    if stopped[u] and m is not EPSILON:
+                        raise MachineContractError(
+                            f"stopped node {nodes[u]!r} emitted {m!r} "
+                            f"in round {r}")
+            delivered.append(msgs + pads[delta - len(msgs)])
+        next_states = []
+        for i, state in enumerate(states):
+            if stopped[i]:
+                next_states.append(state)
                 continue
-            new = machine.transition(states[v], reduce(delivered[v]))
-            if machine.stopping(new):
+            if memo is None:
+                new = transition(state, vmset_reduce(delivered[i]))
+                halts = stopping(new)
+            else:
+                key = (state, frozenset(delivered[i]))
+                hit = memo.get(key)
+                if hit is None:
+                    new = transition(*key)
+                    hit = memo[key] = (new, stopping(new))
+                new, halts = hit
+            if halts:
                 _check_stop_contract(machine, new, delta)
-                stopped[v] = True
-            next_states[v] = new
+                stopped[i] = any_stopped = True
+            next_states.append(new)
         states = next_states
-        trace.states.append(dict(states))
-        trace.messages.append(delivered)
-        if all(stopped.values()):
+        trace.states.append(dict(zip(nodes, states)))
+        trace.messages.append(dict(zip(nodes, delivered)))
+        if all(stopped):
             trace.stopped_round = r
             break
     return trace
-
-
-def _slot_key(label):
-    return (0, label) if isinstance(label, int) else (1, repr(label))
 
 
 def _check_stop_contract(machine: StateMachine, state, delta: int):

@@ -80,9 +80,6 @@ class PortNumberedGraph:
     def edges(self) -> list[tuple]:
         return list(self._edges)
 
-    def has_node(self, v) -> bool:
-        return v in self._out
-
     def neighbours(self, v) -> list:
         return list(self._out[v])
 
@@ -103,14 +100,6 @@ class PortNumberedGraph:
 
     def max_degree(self) -> int:
         return max((len(a) for a in self._out.values()), default=0)
-
-    def port_alphabet(self) -> frozenset:
-        labels = set()
-        for adj in self._out.values():
-            labels.update(adj.values())
-        for adj in self._in.values():
-            labels.update(adj.values())
-        return frozenset(labels)
 
     # -- validation -------------------------------------------------------
 

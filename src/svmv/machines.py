@@ -59,6 +59,10 @@ class StateMachine:
     received)`` gets a ``frozenset`` for class ``sv`` and a ``Counter`` whose
     counts sum to ``delta`` for class ``mv``; stopping states must be fixed
     points.  ``input_alphabet``, when given, is enforced by the executor.
+
+    The executor memoises class ``sv`` transitions per run, calling
+    ``transition`` once per distinct (state, received) pair, so it must be
+    pure and states must be hashable.
     """
 
     name: str

@@ -3,10 +3,14 @@
 These recompute the same quantities as the package with deliberately
 different machinery: the child rules as literal iterated minimum picks, the
 critical separating length by raw path enumeration without deduplication,
-and bisimilarity by direct unmemoised recursion.
+bisimilarity by direct unmemoised recursion, and synchronous execution by a
+straight per-round loop without slot tables or transition memo.
 """
 
+from collections import Counter
+
 from svmv.families import COMPLEMENT
+from svmv.machines import EPSILON, MV
 
 
 def mex(pool, forbidden):
@@ -110,3 +114,32 @@ def naive_bisimilar(va, x, vb, y, r):
                    for w, a in ea):
             return False
     return True
+
+
+def reference_execute(machine, graph, colouring, max_rounds):
+    """Run ``machine`` round by round: every node emits on every slot, the
+    receiver pads, reduces and calls ``transition``.  Returns ``(states,
+    messages, stopped_round)`` laid out as in ``ExecutionTrace``."""
+    reduce = Counter if machine.reception_class == MV else frozenset
+    inputs = colouring if colouring is not None else graph.colours
+    state = {v: machine.init(graph.degree(v), inputs.get(v))
+             for v in graph.nodes}
+    states, messages = [state], []
+    if all(machine.stopping(s) for s in state.values()):
+        return states, messages, 0
+    for r in range(1, max_rounds + 1):
+        delivered = {}
+        for v in graph.nodes:
+            senders = sorted(graph.neighbours(v),
+                             key=lambda u: graph.in_port(v, u))
+            msgs = tuple(machine.emit(state[u], graph.out_port(u, v))
+                         for u in senders)
+            delivered[v] = msgs + (EPSILON,) * (machine.delta - len(msgs))
+        state = {v: s if machine.stopping(s)
+                 else machine.transition(s, reduce(delivered[v]))
+                 for v, s in state.items()}
+        states.append(state)
+        messages.append(delivered)
+        if all(machine.stopping(s) for s in state.values()):
+            return states, messages, r
+    return states, messages, None

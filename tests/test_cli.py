@@ -169,3 +169,34 @@ def test_theorem_report_stable_modulo_timings(tmp_path):
         doc.pop("timings_ms")
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+def _assert_usage_error(result):
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("usage error: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_negative_radius_is_usage_error(tmp_path):
+    _assert_usage_error(_run_cli(
+        ["bisim", "--family", "g", "--d", "3", "--a", "(1,0)", "--b", "(2,1)",
+         "--radius", "-1"], cwd=tmp_path, hash_seed="0"))
+
+
+def test_directory_as_graph_is_usage_error(tmp_path):
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text(json.dumps({"x": "W", "y": "B"}))
+    _assert_usage_error(_run_cli(
+        ["check-pi", "--graph", str(tmp_path), "--candidate", str(candidate)],
+        cwd=tmp_path, hash_seed="0"))
+
+
+def test_malformed_candidate_is_usage_error(tmp_path):
+    graph_file = tmp_path / "edge.json"
+    graph_file.write_text(json.dumps(EDGE_GRAPH))
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text("{")
+    _assert_usage_error(_run_cli(
+        ["check-pi", "--graph", str(graph_file), "--candidate",
+         str(candidate)], cwd=tmp_path, hash_seed="0"))

@@ -1,13 +1,18 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
+from oracles import reference_execute
 from svmv.errors import (DegreeBoundError, DidNotHaltError,
                          MachineContractError, NumberingError)
 from svmv.executor import execute, local_outputs
+from svmv.families import build_collapsed
 from svmv.graphs import PortNumberedGraph, random_colouring, random_graph
-from svmv.machines import EPSILON, SV, StateMachine
+from svmv.machines import AD_HOC_SV_MACHINES, EPSILON, SV, StateMachine
 from svmv.problem import output_colour, solve_pi_mv
+from svmv.simulate import multiset_echo, mv_by_sv
 from svmv.views import canonical_sv
 
 
@@ -210,3 +215,74 @@ def test_trace_csv_is_stable(tmp_path):
     header, first = out1.read_text().splitlines()[:2]
     assert header == "round,node,state_hash,halted"
     assert first.startswith("0,")
+
+
+def _assert_matches_reference(machine, graph, colouring, max_rounds):
+    trace = execute(machine, graph, colouring, max_rounds=max_rounds)
+    states, messages, stopped_round = reference_execute(
+        machine, graph, colouring, max_rounds)
+    assert trace.states == states
+    assert trace.messages == messages
+    assert trace.stopped_round == stopped_round
+
+
+def _sv_machines(delta):
+    return [canonical_sv(delta)] + [factory(delta) for factory in
+                                    AD_HOC_SV_MACHINES.values()]
+
+
+def test_execute_matches_reference_on_collapsed_tree():
+    graph = build_collapsed("g", 3)
+    for machine in _sv_machines(3):
+        _assert_matches_reference(machine, graph, None, 5)
+
+
+def test_execute_matches_reference_on_random_graphs():
+    for seed in range(10):
+        rng = random.Random(seed)
+        delta = rng.randint(2, 4)
+        graph = random_graph(rng, rng.randint(2, 16), delta)
+        colours = random_colouring(rng, graph)
+        machines = _sv_machines(delta) + [mv_by_sv(solve_pi_mv(delta)),
+                                          multiset_echo(delta)]
+        for machine in machines:
+            _assert_matches_reference(machine, graph, colours, 3 * delta)
+
+
+def test_set_transition_runs_once_per_distinct_input():
+    graph = build_collapsed("g", 3)
+    for machine in _sv_machines(3):
+        calls = Counter()
+
+        def counting(state, received, inner=machine.transition):
+            calls[state, received] += 1
+            return inner(state, received)
+
+        trace = execute(dataclasses.replace(machine, transition=counting),
+                        graph, max_rounds=5)
+        pairs = {(trace.states[r - 1][v], frozenset(trace.messages[r - 1][v]))
+                 for r in range(1, 6) for v in graph.nodes}
+        assert set(calls) == pairs
+        assert set(calls.values()) == {1}
+        assert len(pairs) < 5 * len(graph.nodes)
+
+
+def test_stopped_node_talking_in_a_later_round_is_rejected():
+    # Node "a" stops in round 1 and passes the stop-contract probe of its
+    # emit; the same emit talks on its next call, in round 2.
+    probes = []
+
+    def emit(state, port):
+        if state != "halt":
+            return "tick"
+        probes.append(port)
+        return EPSILON if len(probes) <= 2 else "late"
+
+    def transition(state, received):
+        return "halt" if state in ("halt", ("run", "B")) else state
+
+    machine = StateMachine("late-talker", 2, SV, lambda deg, inp: ("run", inp),
+                           emit, transition, lambda s: s == "halt")
+    with pytest.raises(MachineContractError,
+                       match="stopped node 'a' emitted 'late' in round 2"):
+        execute(machine, two_node_path(), {"a": "B", "b": "W"}, max_rounds=3)
