@@ -10,11 +10,21 @@ perfect matching: the definition quantifies each neighbour separately.
 Generalised numberings are fine -- only the labels written towards the
 points matter.  Graph backends may be lazy (family trees) or materialised;
 a materialised backend raises instead of answering from a truncated ball.
+
+Both queries run one recursion that returns the largest radius that holds,
+capped by a budget: ``max_bisim_radius`` descends once with budget ``cap``,
+and ``bisimilar`` asks whether radius r is reached, so it returns at the
+first neighbour without a good enough match.  A pair's memo entry is
+keyed by each point's ``suffix_key`` for the budget (the part of a node
+that fixes its ball, supplied by the backend) and holds an interval of
+radii, so pairs with isomorphic balls and all radii of one pair share an
+entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any
 
 from .errors import BallExhaustedError
@@ -47,6 +57,10 @@ class MaterializedView:
                 f"{graph.declared_degree(v)} edges materialised)")
         return [(u, graph.out_port(u, v)) for u in graph.neighbours(v)]
 
+    def suffix_key(self, v, radius: int):
+        """An explicit graph has no locality rule: a node is its own key."""
+        return v
+
 
 @dataclass(frozen=True)
 class PointedInstance:
@@ -58,49 +72,37 @@ class PointedInstance:
 
 @dataclass
 class BisimCache:
-    """Exact memo of (point, point, radius) verdicts for one task.
+    """Interval memo of bisimilarity radii, shared by the queries of one task.
 
-    Entries record precisely what was computed; no monotonicity shortcut is
-    baked in, so the downward-closure property stays testable from outside.
+    A key is ``(view_a, view_b, key_a, key_b)``: the two backends
+    themselves (hashed by identity; the cache keeps them alive, so a later
+    backend cannot take a cached one's id) and each point's ``suffix_key``
+    for the radius budget of the call.  Points with equal keys have
+    isomorphic balls within that budget, so they share one entry.  The
+    value is the interval ``(held, failed)``: the largest radius known to
+    hold and the smallest radius known to fail (``inf`` while unknown).
+    One entry serves every radius, which assumes downward closure
+    (r-bisimilar implies (r-1)-bisimilar); the monotonicity suite still
+    checks that closure from outside, with a fresh cache per query.
     """
 
     memo: dict = field(default_factory=dict)
 
 
+_UNKNOWN = (-1, inf)
+
+
 def bisimilar(a: PointedInstance, b: PointedInstance, r: int,
               cache: BisimCache | None = None) -> bool:
-    """Decide r-bisimilarity of two pointed instances."""
+    """Decide r-bisimilarity of two pointed instances.
+
+    Stops at the first neighbour without an (r-1)-bisimilar match.
+    """
     if r < 0:
         raise ValueError("radius must be >= 0")
     if cache is None:
         cache = BisimCache()
-    return _decide(a.view, a.point, b.view, b.point, r, cache.memo)
-
-
-def _decide(va, x, vb, y, r, memo) -> bool:
-    if va is vb and x == y:
-        return True
-    key = (id(va), id(vb), x, y, r)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    ok = va.degree(x) == vb.degree(y) and va.local_input(x) == vb.local_input(y)
-    if ok and r > 0:
-        ea = va.back_edges(x)
-        eb = vb.back_edges(y)
-        for w, a in ea:
-            if not any(lab == a and _decide(va, w, vb, w2, r - 1, memo)
-                       for w2, lab in eb):
-                ok = False
-                break
-        if ok:
-            for w2, lab in eb:
-                if not any(a == lab and _decide(va, w, vb, w2, r - 1, memo)
-                           for w, a in ea):
-                    ok = False
-                    break
-    memo[key] = ok
-    return ok
+    return _radius(a.view, a.point, b.view, b.point, r, r, cache.memo) == r
 
 
 def max_bisim_radius(a: PointedInstance, b: PointedInstance, cap: int,
@@ -114,7 +116,75 @@ def max_bisim_radius(a: PointedInstance, b: PointedInstance, cap: int,
         raise ValueError("cap must be >= 0")
     if cache is None:
         cache = BisimCache()
-    for r in range(cap + 1):
-        if not bisimilar(a, b, r, cache):
-            return r - 1
-    return None
+    got = _radius(a.view, a.point, b.view, b.point, cap, 0, cache.memo)
+    return None if got == cap else got
+
+
+def _radius(va, x, vb, y, budget, floor, memo) -> int:
+    """``min(largest bisimilarity radius of x and y, budget)`` if that is
+    at least ``floor``; otherwise some ``r < floor`` with radius r+1
+    failing.  Needs ``floor <= budget``: a capped answer below ``floor``
+    would be stored as a failure.
+
+    A lower ``floor`` asks for more exactness: the top of a
+    ``max_bisim_radius`` query passes 0, ``bisimilar(.., r)`` passes r and
+    so returns as soon as one neighbour falls short.
+    """
+    if va is vb and x == y:
+        return budget
+    key = (va, vb, va.suffix_key(x, budget), vb.suffix_key(y, budget))
+    held, failed = memo.get(key, _UNKNOWN)
+    if held >= budget:
+        return budget
+    if failed <= budget and (failed == held + 1 or failed <= floor):
+        return failed - 1
+    # A known failure caps the search; the answer below it is the same.
+    cap = budget if failed > budget else failed - 1
+    if va.degree(x) != vb.degree(y) or va.local_input(x) != vb.local_input(y):
+        got = -1
+    elif cap == 0:
+        got = 0
+    else:
+        ea = va.back_edges(x)
+        eb = vb.back_edges(y)
+        got = _match(va, ea, vb, eb, cap, floor, memo, False)
+        if got >= floor:
+            got = _match(vb, eb, va, ea, got, floor, memo, True)
+    if got >= floor:
+        held = max(held, got)
+        if got < cap:
+            failed = got + 1
+    else:
+        failed = min(failed, got + 1)
+    memo[key] = (held, failed)
+    return got
+
+
+def _match(va, ea, vb, eb, cap, floor, memo, swapped) -> int:
+    """Lower ``cap`` to one more than the worst neighbour's best match.
+
+    Every neighbour ``w`` in ``ea`` is matched against the equally
+    labelled neighbours in ``eb``; the search for ``w`` stops once a match
+    reaches ``cap - 1``, and the whole scan stops once ``cap`` drops below
+    ``floor`` or reaches 0, below which no neighbour can push it.
+    ``swapped`` says that ``ea`` belongs to the second point, so the
+    recursive calls keep the argument order of the top query.
+    """
+    for w, lab in ea:
+        if cap < floor or cap == 0:
+            break
+        best = -1
+        for w2, lab2 in eb:
+            if lab2 != lab:
+                continue
+            need = max(floor - 1, best + 1)
+            if swapped:
+                got = _radius(vb, w2, va, w, cap - 1, need, memo)
+            else:
+                got = _radius(va, w, vb, w2, cap - 1, need, memo)
+            if got > best:
+                best = got
+                if best >= cap - 1:
+                    break
+        cap = min(cap, best + 1)
+    return cap

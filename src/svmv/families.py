@@ -246,6 +246,21 @@ class FamilyView:
     def out_label(self, u: Path, v: Path):
         return self._label(u, v)
 
+    def suffix_key(self, v: Path, radius: int) -> tuple:
+        """Canonical key of ``v`` for searches with ``radius`` moves left.
+
+        Nodes with equal keys have isomorphic radius-``radius`` balls: the
+        same degrees and local inputs within ``radius`` moves, and the same
+        labels on the edges between those nodes.  The key is the depth and
+        the last steps.  In ``g`` the rules read a node's depth and last
+        step, so ``radius`` steps fix the ball (the topmost node shows only
+        its degree).  ``hb``/``hw`` also read the colour of the parent's
+        step at even depth, and a node's own colour is its input, so they
+        keep ``radius + 1`` steps.
+        """
+        keep = radius if self.family == "g" else radius + 1
+        return len(v), v[max(len(v) - keep, 0):]
+
 
 # -- materialisation --------------------------------------------------------
 

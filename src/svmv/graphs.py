@@ -135,6 +135,14 @@ class PortNumberedGraph:
 
     def to_json_dict(self, node_fmt: Callable[[Any], str] = None,
                      label_fmt: Callable[[Any], str] = None) -> dict:
+        """JSON document of the graph.
+
+        A node record carries ``true_degree`` only when it differs from the
+        materialised degree (a truncated boundary node), and an edge record
+        carries ``in_uv``/``in_vu`` only when an in-label differs from its
+        out-label.  Reading fills the same defaults back in, so documents
+        without these fields keep their meaning.
+        """
         node_fmt = node_fmt or _default_node_fmt
         label_fmt = label_fmt or _default_label_fmt
         nodes = []
@@ -142,11 +150,18 @@ class PortNumberedGraph:
             rec: dict[str, Any] = {"id": node_fmt(v)}
             if v in self.colours:
                 rec["colour"] = self.colours[v]
+            if self.declared_degree(v) != self.degree(v):
+                rec["true_degree"] = self.true_degree[v]
             nodes.append(rec)
-        edges = [{"u": node_fmt(u), "v": node_fmt(v),
-                  "port_uv": label_fmt(self._out[u][v]),
-                  "port_vu": label_fmt(self._out[v][u])}
-                 for u, v in self._edges]
+        edges = []
+        for u, v in self._edges:
+            rec = {"u": node_fmt(u), "v": node_fmt(v),
+                   "port_uv": label_fmt(self._out[u][v]),
+                   "port_vu": label_fmt(self._out[v][u])}
+            for key, a, b in (("in_uv", u, v), ("in_vu", v, u)):
+                if self._in[a][b] != self._out[a][b]:
+                    rec[key] = label_fmt(self._in[a][b])
+            edges.append(rec)
         return {"nodes": nodes, "edges": edges, "proper": self.is_proper()}
 
     def to_json(self, **kw) -> str:
@@ -158,11 +173,15 @@ class PortNumberedGraph:
         try:
             for rec in data["nodes"]:
                 graph.add_node(rec["id"], rec.get("colour"))
+                if "true_degree" in rec:
+                    graph.true_degree[rec["id"]] = int(rec["true_degree"])
             for rec in data["edges"]:
+                in_labels = {key: _parse_label(rec[key])
+                             for key in ("in_uv", "in_vu") if key in rec}
                 graph.add_edge(rec["u"], rec["v"],
                                _parse_label(rec["port_uv"]),
-                               _parse_label(rec["port_vu"]))
-        except (KeyError, TypeError) as exc:
+                               _parse_label(rec["port_vu"]), **in_labels)
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed graph document: {exc}") from exc
         return graph
 

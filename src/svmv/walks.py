@@ -9,7 +9,11 @@ search over pair states.
 
 Per-label neighbour uniqueness in the generalised numbering makes the
 successor of a walk node a function of the back-label alone, so pair states
-need no history and the BFS visited-set is sound.
+need no history and the BFS visited-set is sound.  The visited set is
+quotiented further: with m moves left to the search horizon, a walk end's
+future is fixed by its ``suffix_key`` for radius m + 1 (the last level
+still reads back-labels), so of two pairs at one level with equal keys
+only the first is expanded.  Witnesses are still built from real pairs.
 """
 
 from __future__ import annotations
@@ -73,6 +77,55 @@ def _back_label_map(view: FamilyView, v: Path) -> dict:
     return {lab: u for u, lab in view.back_edges(v)}
 
 
+def _pair_levels(view: FamilyView, horizon: int, max_pairs: int):
+    """Breadth-first levels of pair states from ((1,0)), ((2,1)).
+
+    Yields ``(depth, level, parents)`` for depth 0..``horizon``, where
+    ``level`` lists each frontier pair with its two back-label maps and
+    ``parents`` maps every pair found so far to ``(parent pair, label)``.
+    Separating pairs are not expanded.
+
+    A pair found before is not expanded again.  Nor is a pair whose two
+    ``suffix_key`` values were seen at its level: the radius is the moves
+    left to the horizon plus one, for the back-labels read at the last
+    level, so such pairs have the same label futures up to the horizon and
+    only the first is kept.  The frontier and ``parents`` hold real pairs,
+    so witnesses stay real paths.
+    """
+    start = (START_1, START_2)
+    parents: dict[tuple, tuple] = {start: (None, None)}
+    seen = set()
+    frontier = [start]
+    depth = 0
+    while frontier and depth <= horizon:
+        level = [(pair, _back_label_map(view, pair[0]),
+                  _back_label_map(view, pair[1])) for pair in frontier]
+        yield depth, level, parents
+        if depth == horizon:
+            return  # the last level is scanned, not expanded
+        left = horizon - depth
+        frontier = []
+        for pair, m1, m2 in level:
+            if m1.keys() != m2.keys():
+                continue
+            for label in sorted(m1):
+                child = (m1[label], m2[label])
+                if child in parents:
+                    continue
+                key = (view.suffix_key(child[0], left),
+                       view.suffix_key(child[1], left))
+                if key in seen:
+                    continue
+                if len(parents) >= max_pairs:
+                    raise ResourceLimitError(
+                        f"pair search exceeded {max_pairs} states "
+                        f"(d={view.d})")
+                seen.add(key)
+                parents[child] = (pair, label)
+                frontier.append(child)
+        depth += 1
+
+
 def find_critical_psw(d: int, max_pairs: int = DEFAULT_MAX_PAIRS
                       ) -> tuple[int, WalkPair]:
     """Minimal separating length in the plain tree for ``d`` plus a witness.
@@ -84,35 +137,16 @@ def find_critical_psw(d: int, max_pairs: int = DEFAULT_MAX_PAIRS
     """
     if d < 2:
         raise FormatError("d must be >= 2")
-    view = FamilyView("g", d)
-    start = (START_1, START_2)
-    parents: dict[tuple, tuple] = {start: (None, None)}
-    frontier = [start]
-    depth = 0
-    while frontier:
+    horizon = 2 * d - 1
+    levels = _pair_levels(FamilyView("g", d), horizon, max_pairs)
+    for depth, level, parents in levels:
         # Scan the whole level before expanding so the reported k is minimal.
-        for pair in frontier:
-            m1 = _back_label_map(view, pair[0])
-            m2 = _back_label_map(view, pair[1])
-            if set(m1) != set(m2):
+        for pair, m1, m2 in level:
+            if m1.keys() != m2.keys():
                 return depth, _witness(parents, pair, m1, m2)
-        if depth >= 2 * d - 1:
+        if depth >= horizon:
             raise InternalInconsistencyError(
-                f"no separating pair within depth {2 * d - 1} for d={d}")
-        nxt = []
-        for pair in frontier:
-            m1 = _back_label_map(view, pair[0])
-            m2 = _back_label_map(view, pair[1])
-            for label in sorted(m1):
-                child = (m1[label], m2[label])
-                if child not in parents:
-                    if len(parents) >= max_pairs:
-                        raise ResourceLimitError(
-                            f"pair search exceeded {max_pairs} states (d={d})")
-                    parents[child] = (pair, label)
-                    nxt.append(child)
-        frontier = nxt
-        depth += 1
+                f"no separating pair within depth {horizon} for d={d}")
     raise InternalInconsistencyError(f"pair frontier died out for d={d}")
 
 
@@ -234,31 +268,6 @@ def separating_depths(d: int, depth_limit: int,
 
     Used as the re-scan audit of criticality and of the odd-parity law.
     """
-    view = FamilyView("g", d)
-    start = (START_1, START_2)
-    seen = {start}
-    frontier = [start]
-    found = []
-    depth = 0
-    while frontier and depth <= depth_limit:
-        separated_here = False
-        nxt = []
-        for pair in frontier:
-            m1 = _back_label_map(view, pair[0])
-            m2 = _back_label_map(view, pair[1])
-            if set(m1) != set(m2):
-                separated_here = True
-                continue
-            for label in sorted(m1):
-                child = (m1[label], m2[label])
-                if child not in seen:
-                    if len(seen) >= max_pairs:
-                        raise ResourceLimitError(
-                            f"pair scan exceeded {max_pairs} states (d={d})")
-                    seen.add(child)
-                    nxt.append(child)
-        if separated_here:
-            found.append(depth)
-        frontier = nxt
-        depth += 1
-    return found
+    levels = _pair_levels(FamilyView("g", d), depth_limit, max_pairs)
+    return [depth for depth, level, _ in levels
+            if any(m1.keys() != m2.keys() for _, m1, m2 in level)]

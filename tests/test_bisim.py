@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -119,3 +120,48 @@ def test_shared_cache_consistent_with_fresh_queries():
     shared = [bisimilar(a, b, r, cache) for r in range(7)]
     fresh = [bisimilar(a, b, r) for r in range(7)]
     assert shared == fresh
+
+
+def test_shared_cache_survives_short_lived_views():
+    # Views created and dropped in turn may take one another's id(); the
+    # cache must still tell them apart.
+    cache = BisimCache()
+    for i in range(200):
+        d = 3 if i % 2 == 0 else 2
+        view = FamilyView("g", d)
+        ref = weakref.ref(view)
+        similar = bisimilar(PointedInstance(view, U), PointedInstance(view, W),
+                            2, cache)
+        del view
+        assert similar == (2 <= 2 * d - 3), i
+        # The cache holds the views it has verdicts for, so no later view
+        # can reuse a cached view's id.
+        assert ref() is not None, i
+
+
+@pytest.mark.parametrize("family", ["g", "h"])
+def test_shared_cache_matches_naive_recursion(family):
+    rng = random.Random(family)
+    if family == "g":
+        d = 3
+        view = FamilyView("g", d, family_collapse("g", d))
+        views, names = (view, view), ("g", "g")
+    else:
+        d = 2
+        names = ("hb", "hw")
+        views = tuple(FamilyView(name, d, family_collapse(name, d))
+                      for name in names)
+    cache = BisimCache()
+    for _ in range(12):
+        points = [rng.choice([ROOT, _random_path(rng, name, d)])
+                  for name in names]
+        a, b = (PointedInstance(view, point)
+                for view, point in zip(views, points))
+        truth = [naive_bisimilar(a.view, a.point, b.view, b.point, r)
+                 for r in range(5)]
+        for r in rng.sample(range(5), 5):
+            assert bisimilar(a, b, r, cache) == truth[r], (points, r)
+            held = [r2 for r2 in range(r + 1) if truth[r2]]
+            best = held[-1] if held else -1
+            want = None if best == r else best
+            assert max_bisim_radius(a, b, r, cache) == want, (points, r)

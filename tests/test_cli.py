@@ -12,6 +12,7 @@ from svmv.cli import main
 # Directory holding the svmv this process imported; child processes put it
 # first on PYTHONPATH, since a relative entry would resolve against their cwd.
 SVMV_ROOT = str(Path(svmv.__file__).resolve().parent.parent)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 EDGE_GRAPH = {
     "nodes": [{"id": "x", "colour": "B"}, {"id": "y", "colour": "W"}],
@@ -149,13 +150,13 @@ def test_outputs_byte_identical_across_processes(tmp_path):
 
 
 def test_reproduce_csv_deterministic_for_fixed_seed(tmp_path):
-    outs = []
-    for name in ("r1.csv", "r2.csv"):
-        out = tmp_path / name
-        assert main(["reproduce", "--seed", "7", "--d-max", "3",
-                     "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    # The golden file is the table as committed; a change that alters any
+    # byte of it must replace the file on purpose.
+    out = tmp_path / "rows.csv"
+    assert main(["reproduce", "--seed", "7", "--d-max", "3",
+                 "--out", str(out)]) == 0
+    golden = GOLDEN / "reproduce_seed7_dmax3.csv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_theorem_report_stable_modulo_timings(tmp_path):

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svmv.errors import FormatError, NumberingError
+from svmv.bisim import MaterializedView, PointedInstance, bisimilar
+from svmv.errors import BallExhaustedError, FormatError, NumberingError
 from svmv.families import build_ball, build_full, format_path
 from svmv.graphs import PortNumberedGraph, random_colouring, random_graph
 
@@ -90,3 +93,31 @@ def test_true_degree_bookkeeping():
     full = build_full("g", 2)
     for v in full.nodes:
         assert full.degree(v) == full.declared_degree(v)
+
+
+def test_truncated_ball_json_round_trip_still_raises():
+    ball = build_ball("g", 3, (), 2)
+    loaded = PortNumberedGraph.from_json(ball.to_json(node_fmt=format_path))
+    truncated = [v for v in loaded.nodes
+                 if loaded.degree(v) != loaded.declared_degree(v)]
+    assert len(truncated) == 6
+    view = MaterializedView(loaded)
+    a = PointedInstance(view, format_path(((1, 0),)))
+    b = PointedInstance(view, format_path(((2, 1),)))
+    assert bisimilar(a, b, 1)
+    with pytest.raises(BallExhaustedError):
+        bisimilar(a, b, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+       delta=st.integers(1, 5))
+def test_json_round_trip_keeps_every_edge_end(seed, n, delta):
+    graph = random_graph(random.Random(seed), n, delta)
+    loaded = PortNumberedGraph.from_json(graph.to_json(node_fmt=str))
+    assert loaded.nodes == [str(v) for v in graph.nodes]
+    assert loaded.edges() == [(str(u), str(v)) for u, v in graph.edges()]
+    for u, v in graph.edges():
+        for a, b in ((u, v), (v, u)):
+            assert loaded.out_port(str(a), str(b)) == graph.out_port(a, b)
+            assert loaded.in_port(str(a), str(b)) == graph.in_port(a, b)

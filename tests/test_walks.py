@@ -29,7 +29,7 @@ def test_critical_lengths(d, expected):
     assert verify_psw(witness, d, allow_mirrored=True).status == PSW
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_critical_length_matches_brute_enumeration(d):
     assert brute_critical_length(d, 2 * d - 1) == find_critical_psw(d)[0]
 
