@@ -15,7 +15,7 @@ import sys
 from .bisim import PointedInstance, bisimilar, max_bisim_radius
 from .errors import FormatError, ResourceLimitError, SvmvError
 from .families import (FamilyView, build_ball, family_collapse, format_path,
-                       parse_path)
+                       parse_path, validate_path)
 from .graphs import PortNumberedGraph
 from .problem import check_pi, solve_pi_mv
 from .reproduce import rows_to_csv, run_reproduction
@@ -86,8 +86,10 @@ def cmd_psw(args) -> int:
 def cmd_bisim(args) -> int:
     collapse = family_collapse(args.family, args.d) if args.collapsed else None
     view = FamilyView(args.family, args.d, collapse)
-    a = PointedInstance(view, parse_path(args.a, args.family))
-    b = PointedInstance(view, parse_path(args.b, args.family))
+    points = [parse_path(text, args.family) for text in (args.a, args.b)]
+    for v in points:
+        validate_path(args.family, v, args.d)
+    a, b = (PointedInstance(view, v) for v in points)
     similar = bisimilar(a, b, args.radius)
     failing = None
     if not similar:

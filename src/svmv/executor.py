@@ -23,7 +23,6 @@ from .errors import (DegreeBoundError, DidNotHaltError, MachineContractError,
                      NumberingError)
 from .graphs import PortNumberedGraph
 from .machines import EPSILON, MV, StateMachine, vmset_reduce, vset_reduce
-from .util import stable_fingerprint
 
 
 @dataclass
@@ -59,22 +58,6 @@ class ExecutionTrace:
         if self.stopped_round is not None and r >= len(self.states):
             return (EPSILON,) * self.delta
         raise IndexError(f"round {r} not recorded")
-
-    def to_csv(self, fh):
-        fh.write("round,node,state_hash,halted\n")
-        for r, row in enumerate(self.states):
-            for v, state in row.items():
-                halted = int(self.stopped_round is not None
-                             and r >= self.stopped_round)
-                fh.write(f"{r},{_node_text(v)},{stable_fingerprint(state)},"
-                         f"{halted}\n")
-
-
-def _node_text(v) -> str:
-    text = v if isinstance(v, str) else repr(v)
-    if "," in text or '"' in text:
-        text = '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def execute(machine: StateMachine, graph: PortNumberedGraph,

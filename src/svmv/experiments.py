@@ -53,39 +53,40 @@ def run_theorem1(delta: int, include_extra: bool = True,
         return rows
 
     rows = message_rows(canonical_sv(delta))
-    first_diff = next((row["r"] for row in rows if not row["equal"]), None)
+    equal_through, first_diff = _agreement(rows)
     extra = {}
     if include_extra:
         for name, factory in AD_HOC_SV_MACHINES.items():
             erows = message_rows(factory(delta))
             extra[name] = {
                 "rounds": erows,
-                "equal_through": _equal_prefix(erows),
+                "equal_through": _agreement(erows)[0],
             }
     report = {
         "delta": delta,
         "nodes": len(graph.nodes),
         "ports_to_root": [port_u, port_w],
         "rounds": rows,
-        "equal_through": _equal_prefix(rows),
+        "equal_through": equal_through,
         "first_difference_round": first_diff,
         "extra_machines": extra,
         "conclusion": (
             f"both neighbours delivered identical messages to the root in "
-            f"rounds 1..{_equal_prefix(rows)}; first observed difference at "
+            f"rounds 1..{equal_through}; first observed difference at "
             f"round {first_diff}"),
         "timings_ms": round(1000 * (time.perf_counter() - t0), 3),
     }
     return report
 
 
-def _equal_prefix(rows) -> int:
-    n = 0
+def _agreement(rows) -> tuple[int, int | None]:
+    """``(equal_through, first_difference)`` of consecutive per-round rows:
+    the rounds before and at the first unequal row, or the last round and
+    None when every row is equal."""
     for row in rows:
         if not row["equal"]:
-            break
-        n = row["r"]
-    return n
+            return row["r"] - 1, row["r"]
+    return rows[-1]["r"], None
 
 
 def run_theorem2(d: int, max_nodes: int = 500_000) -> dict:
@@ -112,12 +113,7 @@ def run_theorem2(d: int, max_nodes: int = 500_000) -> dict:
         sw = trace_w.state(r, ROOT)
         rows.append({"r": r, "root_b": stable_fingerprint(sb),
                      "root_w": stable_fingerprint(sw), "equal": sb == sw})
-    equal_through = -1
-    for row in rows:
-        if not row["equal"]:
-            break
-        equal_through = row["r"]
-    first_diff = next((row["r"] for row in rows if not row["equal"]), None)
+    equal_through, first_diff = _agreement(rows)
 
     allowed_b = sorted(pi_allowed(graph_b, graph_b.colours, ROOT))
     allowed_w = sorted(pi_allowed(graph_w, graph_w.colours, ROOT))

@@ -41,6 +41,23 @@ def _ascending(pool, excluded, count):
     return picked[:count]
 
 
+def _step_pairs(v: Path, d: int):
+    """Port pairs ``(b1, b2)`` of the children of a non-root ``v``.
+
+    The one odd/even-depth rule of all three families; it reads the depth
+    and the ports of ``v``'s last step, never its colour.
+    """
+    b1, b2 = v[-1][:2]
+    if len(v) % 2 == 1:
+        b2p = 1 if b2 == 0 else b2
+        firsts = _ascending(range(1, d + 1), {b2p}, d - 1)
+        seconds = _ascending(range(1, d + 1), {b1}, d - 1)
+    else:
+        firsts = _ascending(range(1, d + 1), {b2}, d - 1)
+        seconds = _ascending(range(0, d), {b1}, d - 1)
+    return zip(firsts, seconds)
+
+
 def children_g(v: Path, d: int) -> list[Path]:
     """Children of ``v`` in the plain tree with parameter ``d``, rule order."""
     depth = len(v)
@@ -48,15 +65,7 @@ def children_g(v: Path, d: int) -> list[Path]:
         return []
     if depth == 0:
         return [v + ((j, j - 1),) for j in range(1, d + 1)]
-    b1, b2 = v[-1]
-    if depth % 2 == 1:
-        b2p = 1 if b2 == 0 else b2
-        firsts = _ascending(range(1, d + 1), {b2p}, d - 1)
-        seconds = _ascending(range(1, d + 1), {b1}, d - 1)
-    else:
-        firsts = _ascending(range(1, d + 1), {b2}, d - 1)
-        seconds = _ascending(range(0, d), {b1}, d - 1)
-    return [v + ((a, b),) for a, b in zip(firsts, seconds)]
+    return [v + (step,) for step in _step_pairs(v, d)]
 
 
 def children_h(v: Path, d: int, family: str) -> list[Path]:
@@ -70,19 +79,13 @@ def children_h(v: Path, d: int, family: str) -> list[Path]:
         own = [v + ((j, j - 1, base),) for j in range(1, d + 1)]
         other = [v + ((j, j - 1, COMPLEMENT[base]),) for j in range(2, d + 1)]
         return own + other
+    pairs = _step_pairs(v, d)
     if depth % 2 == 1:
-        b1, b2, colour = v[-1]
-        b2p = 1 if b2 == 0 else b2
-        firsts = _ascending(range(1, d + 1), {b2p}, d - 1)
-        seconds = _ascending(range(1, d + 1), {b1}, d - 1)
-        return [v + ((a, b, "G"),) for a, b in zip(firsts, seconds)]
+        return [v + ((a, b, "G"),) for a, b in pairs]
     # Even depth >= 2: the grandparent's colour drives both blocks.  The
     # root's children are fully specified by the depth-0 case above.
     gcol = v[-2][2]
-    b1, b2, _ = v[-1]
-    firsts = _ascending(range(1, d + 1), {b2}, d - 1)
-    seconds = _ascending(range(0, d), {b1}, d - 1)
-    same = [v + ((a, b, gcol),) for a, b in zip(firsts, seconds)]
+    same = [v + ((a, b, gcol),) for a, b in pairs]
     flip = [v + ((a + 1, a, COMPLEMENT[gcol]),) for a in range(1, d)]
     return same + flip
 
@@ -93,10 +96,6 @@ def children(family: str, v: Path, d: int) -> list[Path]:
     if family in ("hb", "hw"):
         return children_h(v, d, family)
     raise FormatError(f"unknown family {family!r}")
-
-
-def parent(v: Path) -> Path | None:
-    return v[:-1] if v else None
 
 
 def node_colour(family: str, v: Path) -> str | None:
@@ -224,15 +223,9 @@ class FamilyView:
     def local_input(self, v: Path):
         return node_colour(self.family, v)
 
-    def children(self, v: Path) -> list[Path]:
-        return children(self.family, v, self.d)
-
-    def parent(self, v: Path) -> Path | None:
-        return parent(v)
-
     def neighbours(self, v: Path) -> list[Path]:
         out = [] if not v else [v[:-1]]
-        out.extend(self.children(v))
+        out.extend(children(self.family, v, self.d))
         return out
 
     def _label(self, u: Path, v: Path):

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from .bisim import BisimCache, MaterializedView, PointedInstance, bisimilar, \
     max_bisim_radius
 from .executor import execute
-from .families import (FamilyView, ROOT, children, family_collapse,
-                       h_counterpart, node_degree)
+from .families import (FamilyView, ROOT, build_collapsed, children,
+                       family_collapse, h_counterpart, node_degree)
 from .graphs import random_colouring, random_graph
 from .util import derive_seed
 from .views import canonical_sv
@@ -255,14 +255,12 @@ def executor_agreement_suite(seed: int, cases: int = 50) -> SuiteResult:
     prepared = []
 
     for d in (2, 3):
-        graph = family_collapse("g", d).apply_graph(
-            _full_tree_cached("g", d))
+        graph = build_collapsed("g", d)
         view = MaterializedView(graph)
         prepared.append((view, graph, ((1, 0),), ((2, 1),), 2 * d, None))
+    d = 2
+    gb, gw = build_collapsed("hb", d), build_collapsed("hw", d)
     for _ in range(6):
-        d = 2
-        gb = family_collapse("hb", d).apply_graph(_full_tree_cached("hb", d))
-        gw = family_collapse("hw", d).apply_graph(_full_tree_cached("hw", d))
         v = _random_path(rng, "hb", d, first_step=lambda s: s[0] >= 2)
         u = h_counterpart(v)
         prepared.append(((MaterializedView(gb), MaterializedView(gw)),
@@ -304,17 +302,6 @@ def executor_agreement_suite(seed: int, cases: int = 50) -> SuiteResult:
                     result.note(f"{x!r} vs {y!r}: radius {radius} reported "
                                 f"but states still equal at round {fail}")
     return SuiteResult("executor-agreement", count, result.failures)
-
-
-_TREE_CACHE: dict = {}
-
-
-def _full_tree_cached(family: str, d: int):
-    key = (family, d)
-    if key not in _TREE_CACHE:
-        from .families import build_full
-        _TREE_CACHE[key] = build_full(family, d)
-    return _TREE_CACHE[key]
 
 
 ALL_SUITES = (

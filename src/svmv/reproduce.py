@@ -8,14 +8,15 @@ fixed seed.
 
 from __future__ import annotations
 
+import csv
 import random
 import time
 from dataclasses import dataclass
 
 from .bisim import PointedInstance, max_bisim_radius
-from .errors import SvmvError
-from .families import (FamilyView, PortCollapse, build_full, collapse_g,
-                       family_collapse)
+from .errors import FormatError, SvmvError
+from .families import (FamilyView, PortCollapse, build_collapsed, build_full,
+                       collapse_g, family_collapse)
 from .graphs import random_colouring, random_graph
 from .problem import solve_pi_mv
 from .propsuite import run_all_suites
@@ -45,6 +46,8 @@ def _row(criterion, parameter, expected, observed, passed) -> CriterionRow:
 
 
 def psw_rows(d_max: int = 5) -> list[CriterionRow]:
+    if d_max < 2:
+        raise FormatError(f"d_max must be >= 2 (got {d_max})")
     rows = []
     t0 = time.perf_counter()
     for d in range(2, d_max + 1):
@@ -161,7 +164,7 @@ def simulation_rows(seed: int, instances: int = 100) -> list[CriterionRow]:
                  failures[0] if failures else "all held", not failures)]
     for family in ("hb", "hw"):
         d = 2
-        graph = family_collapse(family, d).apply_graph(build_full(family, d))
+        graph = build_collapsed(family, d)
         inner = solve_pi_mv(2 * d - 1)
         try:
             report = run_simulation(inner, graph, graph.colours)
@@ -252,14 +255,8 @@ def run_reproduction(seed: int, d_max: int = 5,
 
 
 def rows_to_csv(rows: list[CriterionRow], fh):
-    fh.write("criterion,parameter,expected,observed,pass\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["criterion", "parameter", "expected", "observed", "pass"])
     for row in rows:
-        fields = [row.criterion, row.parameter, row.expected, row.observed,
-                  "pass" if row.passed else "FAIL"]
-        fh.write(",".join(_csv_quote(f) for f in fields) + "\n")
-
-
-def _csv_quote(text: str) -> str:
-    if any(c in text for c in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+        writer.writerow([row.criterion, row.parameter, row.expected,
+                         row.observed, "pass" if row.passed else "FAIL"])

@@ -3,8 +3,8 @@
 A view is everything a set-reception node can possibly know after a number
 of rounds: its degree, its local input, and the *set* of (sender out-port,
 sender view) pairs it heard in the latest round.  Views are interned, so
-structurally equal views are the same object and comparisons are exact --
-there is no hashing shortcut that could collide.
+structurally equal views are the same object: equality is identity, which
+is exact -- there is no hashing shortcut that could collide.
 
 The machine built from views is the coarsest-distinguishing set-reception
 machine: two nodes carry equal views in round r exactly when no machine of
@@ -21,9 +21,14 @@ _INTERN: dict = {}
 
 
 class ViewTree:
-    """Immutable interned view; compare with ``is`` or ``==`` freely."""
+    """Immutable interned view.
 
-    __slots__ = ("degree", "input", "round", "children", "digest", "_hash")
+    ``view`` builds every view, so two structurally equal views are one
+    object and the default identity ``==`` and ``hash`` are exact
+    structural equality.
+    """
+
+    __slots__ = ("degree", "input", "round", "children", "digest")
 
     def __init__(self, degree, input, round, children, digest):
         self.degree = degree
@@ -31,19 +36,6 @@ class ViewTree:
         self.round = round
         self.children = children
         self.digest = digest
-        self._hash = hash((degree, input, round, children))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is ViewTree
-                and self.degree == other.degree
-                and self.input == other.input
-                and self.round == other.round
-                and self.children == other.children)
 
     def __repr__(self):
         return f"View#{self.digest[:12]}(r={self.round})"

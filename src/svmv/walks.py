@@ -65,16 +65,20 @@ def successor(view: FamilyView, v: Path, label) -> Path | None:
 
     Absence is a value, not an error: it is the separation signal.
     """
-    hits = [u for u, lab in view.back_edges(v) if lab == label]
-    if len(hits) > 1:
-        raise InternalInconsistencyError(
-            f"{len(hits)} neighbours of {format_path(v)} share back-label "
-            f"{label!r}; per-label uniqueness is violated")
-    return hits[0] if hits else None
+    return _back_label_map(view, v).get(label)
 
 
 def _back_label_map(view: FamilyView, v: Path) -> dict:
-    return {lab: u for u, lab in view.back_edges(v)}
+    """Back-label -> neighbour of ``v``; raises when a label repeats, since
+    every search here relies on per-label uniqueness."""
+    edges = view.back_edges(v)
+    out = {lab: u for u, lab in edges}
+    if len(out) != len(edges):
+        labels = [lab for _, lab in edges]
+        raise InternalInconsistencyError(
+            f"neighbours of {format_path(v)} share back-labels {labels}; "
+            f"per-label uniqueness is violated")
+    return out
 
 
 def _pair_levels(view: FamilyView, horizon: int, max_pairs: int):

@@ -201,3 +201,17 @@ def test_malformed_candidate_is_usage_error(tmp_path):
     _assert_usage_error(_run_cli(
         ["check-pi", "--graph", str(graph_file), "--candidate",
          str(candidate)], cwd=tmp_path, hash_seed="0"))
+
+
+@pytest.mark.parametrize("args", [
+    ["bisim", "--family", "g", "--d", "3", "--radius", "2",
+     "--a", "(9,9)", "--b", "(1,0)"],
+    ["bisim", "--family", "g", "--d", "3", "--radius", "2",
+     "--a", "(3,2)/(9,9)", "--b", "(3,2)/(9,9)"],
+    ["bisim", "--family", "g", "--d", "3", "--radius", "2",
+     "--a", "(9,9)", "--b", "(1,0)", "--collapsed"],
+    ["reproduce", "--seed", "0", "--d-max", "1"],
+])
+def test_input_outside_the_model_is_usage_error(tmp_path, args):
+    # Points the rules do not make, and a reproduce with no walk rows.
+    _assert_usage_error(_run_cli(args, cwd=tmp_path, hash_seed="0"))

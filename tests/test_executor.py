@@ -202,21 +202,6 @@ def test_multiplicity_blindness_at_reduction_boundary():
     assert a == b
 
 
-def test_trace_csv_is_stable(tmp_path):
-    graph = star(["B", "W"])
-    trace = execute(solve_pi_mv(2), graph, max_rounds=2)
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    with open(out1, "w") as fh:
-        trace.to_csv(fh)
-    trace2 = execute(solve_pi_mv(2), graph, max_rounds=2)
-    with open(out2, "w") as fh:
-        trace2.to_csv(fh)
-    assert out1.read_text() == out2.read_text()
-    header, first = out1.read_text().splitlines()[:2]
-    assert header == "round,node,state_hash,halted"
-    assert first.startswith("0,")
-
-
 def _assert_matches_reference(machine, graph, colouring, max_rounds):
     trace = execute(machine, graph, colouring, max_rounds=max_rounds)
     states, messages, stopped_round = reference_execute(

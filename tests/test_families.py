@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_children_g, naive_children_h
 from svmv.errors import FormatError, ResourceLimitError
-from svmv.families import (FamilyView, ROOT, build_ball, build_full, children,
+from svmv.families import (FAMILIES, FamilyView, ROOT, build_ball, build_full, children,
                            children_g, children_h, format_path, g_projection,
                            node_colour, node_degree, parse_path, pi,
                            validate_path)
@@ -215,3 +217,22 @@ def test_node_colour():
     assert node_colour("hb", ROOT) == "G"
     assert node_colour("hb", ((2, 1, "W"),)) == "W"
     assert node_colour("g", ((1, 0),)) is None
+
+
+@st.composite
+def rule_nodes(draw):
+    """A family, a parameter d and a node reached by a random descent."""
+    family = draw(st.sampled_from(FAMILIES))
+    d = draw(st.integers(2, 5))
+    v = ROOT
+    for _ in range(draw(st.integers(0, 2 * d))):
+        v = draw(st.sampled_from(children(family, v, d)))
+    return family, d, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_nodes())
+def test_rule_nodes_round_trip_through_text(node):
+    family, d, v = node
+    assert parse_path(format_path(v), family) == v
+    validate_path(family, v, d)

@@ -2,7 +2,7 @@ import pytest
 
 from oracles import brute_critical_length
 from svmv.bisim import PointedInstance, max_bisim_radius
-from svmv.errors import FormatError
+from svmv.errors import FormatError, InternalInconsistencyError
 from svmv.families import FamilyView, ROOT
 from svmv.walks import (INVALID, PCW, PSW, WalkPair, find_critical_psw,
                         separating_depths, successor, verify_psw,
@@ -112,3 +112,19 @@ def test_critical_length_equals_bisimilarity_radius(d):
     radius = max_bisim_radius(PointedInstance(view, U),
                               PointedInstance(view, W), cap=2 * d)
     assert find_critical_psw(d)[0] == radius
+
+
+def test_duplicate_back_label_is_an_internal_error(monkeypatch):
+    # The last neighbour of every node writes the first one's label, so a
+    # label no longer names one neighbour and the pair search must stop.
+    back_edges = FamilyView.back_edges
+
+    def repeated(self, v):
+        edges = back_edges(self, v)
+        if len(edges) > 1:
+            edges[-1] = (edges[-1][0], edges[0][1])
+        return edges
+
+    monkeypatch.setattr(FamilyView, "back_edges", repeated)
+    with pytest.raises(InternalInconsistencyError):
+        find_critical_psw(3)
