@@ -7,25 +7,30 @@ degree bound, reduced to a set or multiset per the machine's reception
 class, and fed to the transition.  ``max_rounds`` is mandatory: there are no
 open-ended runs.
 
-Set-reception transitions are memoised per run: each distinct (state,
-received set) pair is passed to ``transition`` once, and every node holding
-that pair gets the same result.  ``transition`` must therefore be a pure
-function and states must be hashable.  Multiset reception calls
+Set-reception machines are stepped per distinct value: each round calls
+``emit`` once per distinct (state, out-port) pair on the graph's edges, and
+each distinct (state, received set) pair is passed to ``transition`` once
+per run, every node holding that pair getting the same result.  ``emit``
+and ``transition`` must therefore be pure functions and states must be
+hashable.  Multiset reception calls ``emit`` on every edge and
 ``transition`` for every running node.
+
+The graph's :class:`~svmv.graphs.RunPlan` fixes the node order and the flat
+per-edge message layout.  Each round fills one flat message list in that
+layout; the trace keeps it with the round's states in node order and builds
+per-node dicts only when they are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import add
 from typing import Any
 
-from .errors import (DegreeBoundError, DidNotHaltError, MachineContractError,
-                     NumberingError)
-from .graphs import PortNumberedGraph
+from .errors import DidNotHaltError, MachineContractError, NumberingError
+from .graphs import PortNumberedGraph, RunPlan
 from .machines import EPSILON, MV, StateMachine, vmset_reduce, vset_reduce
 
 
-@dataclass
 class ExecutionTrace:
     """Complete record of one synchronous run.
 
@@ -34,28 +39,53 @@ class ExecutionTrace:
     ``r``, slots ordered by in-port label with epsilon padding at the end.
     ``stopped_round`` is the first round in which every node is stopping, or
     None if ``max_rounds`` ran out first.
+
+    The run records each round's states in node order and its flat
+    per-edge message list (laid out by the graph's :class:`RunPlan`);
+    ``states`` and ``messages`` are built from those on first read, while
+    :meth:`state` and :meth:`received` read them directly.
     """
 
-    delta: int
-    states: list[dict[Any, Any]] = field(default_factory=list)
-    messages: list[dict[Any, tuple]] = field(default_factory=list)
-    stopped_round: int | None = None
+    def __init__(self, delta: int, plan: RunPlan):
+        self.delta = delta
+        self.stopped_round: int | None = None
+        self._plan = plan
+        self._rows: list[list] = []
+        self._flat: list[list] = []
+        self._states: list[dict[Any, Any]] | None = None
+        self._messages: list[dict[Any, tuple]] | None = None
+
+    @property
+    def states(self) -> list[dict[Any, Any]]:
+        if self._states is None:
+            nodes = self._plan.nodes
+            self._states = [dict(zip(nodes, row)) for row in self._rows]
+        return self._states
+
+    @property
+    def messages(self) -> list[dict[Any, tuple]]:
+        if self._messages is None:
+            nodes, gathers = self._plan.nodes, self._plan.gathers
+            self._messages = [dict(zip(nodes, [gather(flat)
+                                               for gather in gathers]))
+                              for flat in self._flat]
+        return self._messages
 
     def rounds(self) -> int:
-        return len(self.states) - 1
+        return len(self._rows) - 1
 
     def state(self, r: int, v):
-        if r < len(self.states):
-            return self.states[r][v]
+        if r < len(self._rows):
+            return self._rows[r][self._plan.index[v]]
         if self.stopped_round is not None:
-            return self.states[-1][v]
+            return self._rows[-1][self._plan.index[v]]
         raise IndexError(f"round {r} not recorded and the run did not halt")
 
     def received(self, r: int, v) -> tuple:
         """Padded message vector delivered to ``v`` in round ``r`` (r >= 1)."""
-        if 1 <= r < len(self.states):
-            return self.messages[r - 1][v]
-        if self.stopped_round is not None and r >= len(self.states):
+        if 1 <= r < len(self._rows):
+            return self._plan.gathers[self._plan.index[v]](self._flat[r - 1])
+        if self.stopped_round is not None and r >= len(self._rows):
             return (EPSILON,) * self.delta
         raise IndexError(f"round {r} not recorded")
 
@@ -73,13 +103,9 @@ def execute(machine: StateMachine, graph: PortNumberedGraph,
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
     delta = machine.delta
-    if graph.max_degree() > delta:
-        raise DegreeBoundError(
-            f"graph max degree {graph.max_degree()} exceeds bound {delta}")
-    graph.require_runnable(delta)
-
+    plan = graph.run_plan(delta)
+    nodes = plan.nodes
     inputs = colouring if colouring is not None else graph.colours
-    nodes = graph.nodes
     if machine.input_alphabet is not None:
         for v in nodes:
             if inputs.get(v) not in machine.input_alphabet:
@@ -87,71 +113,126 @@ def execute(machine: StateMachine, graph: PortNumberedGraph,
                     f"local input {inputs.get(v)!r} of node {v!r} is outside "
                     f"the machine's input alphabet")
 
-    emit, transition = machine.emit, machine.transition
-    stopping = machine.stopping
-    # Nodes are addressed by position in ``nodes``.  Per receiver, its
-    # (sender position, sender's out-port) slots in in-port order; the
-    # in-ports are integers, as ``require_runnable`` checked.
-    index = {v: i for i, v in enumerate(nodes)}
-    slots = [tuple((index[u], graph.out_port(u, v))
-                   for u in sorted(graph.neighbours(v),
-                                   key=lambda u, v=v: graph.in_port(v, u)))
-             for v in nodes]
-    pads = [(EPSILON,) * k for k in range(delta + 1)]
-    # Set reception: equal states hearing equal sets move to equal states,
-    # so each distinct (state, received) pair is computed once per run.
-    # Multisets (Counter) are unhashable and take the direct call.
-    memo = None if machine.reception_class == MV else {}
-
-    states = [machine.init(graph.degree(v), inputs.get(v)) for v in nodes]
-    stopped = [stopping(state) for state in states]
+    states = [machine.init(degree, inputs.get(v))
+              for v, degree in zip(nodes, plan.degrees)]
+    stopped = [machine.stopping(state) for state in states]
     for state, halted in zip(states, stopped):
         if halted:
             _check_stop_contract(machine, state, delta)
-    any_stopped = any(stopped)
-    trace = ExecutionTrace(delta=delta)
-    trace.states.append(dict(zip(nodes, states)))
+    trace = ExecutionTrace(delta, plan)
+    trace._rows.append(states)
     if all(stopped):
         trace.stopped_round = 0
-        return trace
+    elif machine.reception_class == MV:
+        _multiset_rounds(machine, plan, states, stopped, trace, max_rounds)
+    else:
+        _set_rounds(machine, plan, states, stopped, trace, max_rounds)
+    return trace
 
+
+def _multiset_rounds(machine, plan, states, stopped, trace, max_rounds):
+    """Rounds of a multiset-reception run: ``emit`` on every edge and
+    ``transition`` for every running node (a ``Counter`` is unhashable)."""
+    emit, transition = machine.emit, machine.transition
+    stopping = machine.stopping
+    senders, ports = plan.senders, plan.ports
+    any_stopped = any(stopped)
     for r in range(1, max_rounds + 1):
-        delivered = []
-        for slot in slots:
-            msgs = tuple([emit(states[u], port) for u, port in slot])
-            if any_stopped:
-                for (u, _), m in zip(slot, msgs):
-                    if stopped[u] and m is not EPSILON:
-                        raise MachineContractError(
-                            f"stopped node {nodes[u]!r} emitted {m!r} "
-                            f"in round {r}")
-            delivered.append(msgs + pads[delta - len(msgs)])
+        flat = list(map(emit, map(states.__getitem__, senders), ports))
+        if any_stopped:
+            _check_stopped_senders(plan, stopped, flat, r)
+        flat.append(EPSILON)
         next_states = []
-        for i, state in enumerate(states):
+        for i, (state, gather) in enumerate(zip(states, plan.gathers)):
             if stopped[i]:
                 next_states.append(state)
                 continue
-            if memo is None:
-                new = transition(state, vmset_reduce(delivered[i]))
-                halts = stopping(new)
-            else:
-                key = (state, frozenset(delivered[i]))
-                hit = memo.get(key)
-                if hit is None:
-                    new = transition(*key)
-                    hit = memo[key] = (new, stopping(new))
-                new, halts = hit
-            if halts:
-                _check_stop_contract(machine, new, delta)
+            new = transition(state, vmset_reduce(gather(flat)))
+            if stopping(new):
+                _check_stop_contract(machine, new, trace.delta)
                 stopped[i] = any_stopped = True
             next_states.append(new)
         states = next_states
-        trace.states.append(dict(zip(nodes, states)))
-        trace.messages.append(dict(zip(nodes, delivered)))
+        trace._rows.append(states)
+        trace._flat.append(flat)
         if all(stopped):
             trace.stopped_round = r
-            break
-    return trace
+            return
+
+
+def _set_rounds(machine, plan, states, stopped, trace, max_rounds):
+    """Rounds of a set-reception run, stepped per distinct value.
+
+    Distinct states and distinct messages get integer ids.  A state's id is
+    a multiple of ``delta + 1``, so ``state id + out-port`` names one
+    (state, out-port) pair and ``emit`` runs once per distinct pair in a
+    round.  A node's next state is memoised per run on (state id, set of
+    message ids), so ``transition`` runs once per distinct (state, received
+    set) pair.
+    """
+    emit, transition = machine.emit, machine.transition
+    stopping = machine.stopping
+    senders, ports = plan.senders, plan.ports
+    width = trace.delta + 1
+    state_of, state_id = {}, {}
+    message_of, message_id = [EPSILON], {EPSILON: 0}
+
+    def identify(state):
+        sid = state_id.get(state)
+        if sid is None:
+            sid = state_id[state] = width * len(state_id)
+            state_of[sid] = state
+        return sid
+
+    sids = list(map(identify, states))
+    memo = {}
+    any_stopped = any(stopped)
+    for r in range(1, max_rounds + 1):
+        pairs = list(map(add, map(sids.__getitem__, senders), ports))
+        emitted = dict.fromkeys(pairs)
+        for pair in emitted:
+            port = pair % width
+            m = emit(state_of[pair - port], port)
+            mid = message_id.get(m)
+            if mid is None:
+                mid = message_id[m] = len(message_of)
+                message_of.append(m)
+            emitted[pair] = mid
+        flat = list(map(emitted.__getitem__, pairs))
+        delivered = list(map(message_of.__getitem__, flat))
+        if any_stopped:
+            _check_stopped_senders(plan, stopped, delivered, r)
+        flat.append(0)
+        delivered.append(EPSILON)
+        next_sids = []
+        for i, (sid, gather) in enumerate(zip(sids, plan.gathers)):
+            if stopped[i]:
+                next_sids.append(sid)
+                continue
+            key = (sid, frozenset(gather(flat)))
+            hit = memo.get(key)
+            if hit is None:
+                received = frozenset(map(message_of.__getitem__, key[1]))
+                new = transition(state_of[sid], received)
+                hit = memo[key] = (identify(new), stopping(new))
+            new_sid, halts = hit
+            if halts:
+                _check_stop_contract(machine, state_of[new_sid], trace.delta)
+                stopped[i] = any_stopped = True
+            next_sids.append(new_sid)
+        sids = next_sids
+        trace._rows.append(list(map(state_of.__getitem__, sids)))
+        trace._flat.append(delivered)
+        if all(stopped):
+            trace.stopped_round = r
+            return
+
+
+def _check_stopped_senders(plan, stopped, flat, r):
+    for u, m in zip(plan.senders, flat):
+        if stopped[u] and m is not EPSILON:
+            raise MachineContractError(
+                f"stopped node {plan.nodes[u]!r} emitted {m!r} in round {r}")
 
 
 def _check_stop_contract(machine: StateMachine, state, delta: int):
@@ -174,4 +255,4 @@ def local_outputs(trace: ExecutionTrace) -> dict:
     """
     if trace.stopped_round is None:
         raise DidNotHaltError("did not halt: no global stopping round")
-    return dict(trace.states[trace.stopped_round])
+    return dict(zip(trace._plan.nodes, trace._rows[trace.stopped_round]))

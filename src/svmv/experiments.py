@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 
-from .errors import ResourceLimitError
+from .errors import FormatError, ResourceLimitError
 from .executor import execute, local_outputs
 from .families import ROOT, build_collapsed
 from .machines import AD_HOC_SV_MACHINES
@@ -31,7 +31,7 @@ def run_theorem1(delta: int, include_extra: bool = True,
     (and a few ad-hoc set-reception machines) up to round 2*delta - 1.
     """
     if delta < 2:
-        raise ResourceLimitError("delta must be >= 2")
+        raise FormatError(f"delta must be >= 2 (got {delta})")
     if delta > 4:
         raise ResourceLimitError(
             f"full-tree runs are capped at delta <= 4 (asked for {delta})")
@@ -96,9 +96,11 @@ def run_theorem2(d: int, max_nodes: int = 500_000) -> dict:
     black-rooted vs white-rooted instance, the forced root answers of the
     majority-colour problem, and the one-round multiset solver's results.
     """
-    if not 2 <= d <= 3:
+    if d < 2:
+        raise FormatError(f"d must be >= 2 (got {d})")
+    if d > 3:
         raise ResourceLimitError(
-            f"full coloured-tree runs are capped at 2 <= d <= 3 (got {d})")
+            f"full coloured-tree runs are capped at d <= 3 (got {d})")
     t0 = time.perf_counter()
     delta = 2 * d - 1
     graph_b = build_collapsed("hb", d, max_nodes=max_nodes)

@@ -280,18 +280,19 @@ def build_ball(family: str, d: int, center: Path, radius: int,
         if dist == radius:
             continue
         for u in lazy.neighbours(v):
-            if u not in seen:
-                if len(seen) >= max_nodes:
-                    raise ResourceLimitError(
-                        f"ball exceeds {max_nodes} nodes "
-                        f"(family={family}, d={d}, radius={radius})")
-                seen.add(u)
-                graph.add_node(u, node_colour(family, u))
-                graph.true_degree[u] = lazy.degree(u)
-                frontier.append((u, dist + 1))
-            lo, hi = (v, u) if len(v) < len(u) else (u, v)
-            if hi in graph.neighbours(lo):
+            # The families are trees, so the one neighbour seen before is
+            # v's BFS parent, whose edge to v already exists.
+            if u in seen:
                 continue
+            if len(seen) >= max_nodes:
+                raise ResourceLimitError(
+                    f"ball exceeds {max_nodes} nodes "
+                    f"(family={family}, d={d}, radius={radius})")
+            seen.add(u)
+            graph.add_node(u, node_colour(family, u))
+            graph.true_degree[u] = lazy.degree(u)
+            frontier.append((u, dist + 1))
+            lo, hi = (v, u) if len(v) < len(u) else (u, v)
             graph.add_edge(lo, hi, pi(family, lo, hi), pi(family, hi, lo))
     return graph
 

@@ -11,9 +11,10 @@ numberings sample them independently.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any, Callable, Iterable
 
-from .errors import FormatError, NumberingError
+from .errors import DegreeBoundError, FormatError, NumberingError
 
 
 class PortNumberedGraph:
@@ -31,11 +32,13 @@ class PortNumberedGraph:
         self._edges: list[tuple[Any, Any]] = []
         self.colours: dict[Any, str] = {}
         self.true_degree: dict[Any, int] = {}
+        self._plans: dict[int, RunPlan] = {}
 
     # -- construction -----------------------------------------------------
 
     def add_node(self, v, colour: str | None = None):
         if v not in self._out:
+            self._plans.clear()
             self._out[v] = {}
             self._in[v] = {}
             self._order.append(v)
@@ -65,6 +68,7 @@ class PortNumberedGraph:
             raise NumberingError(f"node {u!r} reuses in-port {in_uv!r}")
         if in_vu in self._in[v].values():
             raise NumberingError(f"node {v!r} reuses in-port {in_vu!r}")
+        self._plans.clear()
         self._out[u][v] = out_uv
         self._out[v][u] = out_vu
         self._in[u][v] = in_uv
@@ -130,6 +134,18 @@ class PortNumberedGraph:
                         raise NumberingError(
                             f"node {v!r} reuses port label {lab!r}")
                     seen.add(lab)
+
+    def run_plan(self, delta: int) -> "RunPlan":
+        """The :class:`RunPlan` for degree bound ``delta``, built on first
+        use and kept until the graph changes.
+
+        Building it checks the degree bound (``DegreeBoundError``) and
+        :meth:`require_runnable`, so a plan exists only for a runnable graph.
+        """
+        plan = self._plans.get(delta)
+        if plan is None:
+            plan = self._plans[delta] = RunPlan(self, delta)
+        return plan
 
     # -- serialisation ----------------------------------------------------
 
@@ -216,6 +232,51 @@ class PortNumberedGraph:
             lines.append(f'  "{node_fmt(u)}" -- "{node_fmt(v)}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+class RunPlan:
+    """The layout one synchronous run walks, fixed per graph and degree bound.
+
+    Node ``i`` is ``nodes[i]`` (``index[nodes[i]] == i``) with degree
+    ``degrees[i]``.  Edge ends are laid out flat, grouped by receiver in
+    node order and, per receiver, in in-port order: slot ``k`` carries what
+    ``nodes[senders[k]]`` writes on out-port ``ports[k]``.  A round's flat
+    message list holds one more entry, the epsilon pad, at index
+    ``len(senders)``; ``gathers[i]`` picks node ``i``'s padded
+    length-``delta`` vector out of that list.
+    """
+
+    __slots__ = ("nodes", "index", "degrees", "senders", "ports", "gathers")
+
+    def __init__(self, graph: PortNumberedGraph, delta: int):
+        if graph.max_degree() > delta:
+            raise DegreeBoundError(
+                f"graph max degree {graph.max_degree()} exceeds bound {delta}")
+        graph.require_runnable(delta)
+        self.nodes = tuple(graph._order)
+        self.degrees = tuple(len(graph._out[v]) for v in self.nodes)
+        index = self.index = {v: i for i, v in enumerate(self.nodes)}
+        senders, ports, slots = [], [], []
+        for v in self.nodes:
+            start = len(senders)
+            in_ports = graph._in[v]
+            for u in sorted(in_ports, key=in_ports.__getitem__):
+                senders.append(index[u])
+                ports.append(graph._out[u][v])
+            slots.append(range(start, len(senders)))
+        pad = len(senders)
+        self.senders = tuple(senders)
+        self.ports = tuple(ports)
+        self.gathers = tuple(
+            _getter([*own, *[pad] * (delta - len(own))]) for own in slots)
+
+
+def _getter(positions: list[int]) -> Callable[[list], tuple]:
+    """``itemgetter`` that returns a tuple for a single position too."""
+    if len(positions) == 1:
+        k = positions[0]
+        return lambda flat: (flat[k],)
+    return itemgetter(*positions)
 
 
 def _default_node_fmt(v) -> str:

@@ -60,9 +60,10 @@ class StateMachine:
     counts sum to ``delta`` for class ``mv``; stopping states must be fixed
     points.  ``input_alphabet``, when given, is enforced by the executor.
 
-    The executor memoises class ``sv`` transitions per run, calling
-    ``transition`` once per distinct (state, received) pair, so it must be
-    pure and states must be hashable.
+    For class ``sv`` the executor calls ``emit`` once per distinct (state,
+    port) pair in a round and ``transition`` once per distinct (state,
+    received) pair in a run, so both must be pure and states must be
+    hashable.
     """
 
     name: str

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .bisim import PointedInstance, max_bisim_radius
-from .errors import FormatError, SvmvError
+from .errors import FormatError, ResourceLimitError, SvmvError
 from .families import (FamilyView, PortCollapse, build_collapsed, build_full,
                        collapse_g, family_collapse)
 from .graphs import random_colouring, random_graph
@@ -29,6 +29,9 @@ DESK_SCALE_CAPS = ("walk search d<=5; bisimilarity radius runs d<=4; "
                    "coloured-tree executions d<=3; pair searches capped at "
                    "50M states; parameters d>=6 exceed the memory budget, "
                    "so the criteria above stand in for full-scale numbers")
+# The largest d a psw row is searched for: psw d=6 takes about 6 s, d=7 has
+# not been measured to finish.
+PSW_D_MAX = 6
 
 
 @dataclass
@@ -48,6 +51,9 @@ def _row(criterion, parameter, expected, observed, passed) -> CriterionRow:
 def psw_rows(d_max: int = 5) -> list[CriterionRow]:
     if d_max < 2:
         raise FormatError(f"d_max must be >= 2 (got {d_max})")
+    if d_max > PSW_D_MAX:
+        raise ResourceLimitError(
+            f"psw searches are capped at d_max <= {PSW_D_MAX} (got {d_max})")
     rows = []
     t0 = time.perf_counter()
     for d in range(2, d_max + 1):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -211,7 +212,21 @@ def test_malformed_candidate_is_usage_error(tmp_path):
     ["bisim", "--family", "g", "--d", "3", "--radius", "2",
      "--a", "(9,9)", "--b", "(1,0)", "--collapsed"],
     ["reproduce", "--seed", "0", "--d-max", "1"],
+    ["theorem1", "--delta", "1"],
+    ["theorem2", "--d", "1"],
 ])
 def test_input_outside_the_model_is_usage_error(tmp_path, args):
-    # Points the rules do not make, and a reproduce with no walk rows.
+    # Points the rules do not make, a reproduce with no walk rows, and
+    # experiment parameters below the model's minimum.
     _assert_usage_error(_run_cli(args, cwd=tmp_path, hash_seed="0"))
+
+
+def test_reproduce_beyond_the_psw_cap_is_refused_before_searching(tmp_path):
+    start = time.perf_counter()
+    result = _run_cli(["reproduce", "--seed", "0", "--d-max", "7"],
+                      cwd=tmp_path, hash_seed="0")
+    assert time.perf_counter() - start < 10
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("resource cap: ")
+    assert result.stdout == ""

@@ -8,9 +8,10 @@ from oracles import reference_execute
 from svmv.errors import (DegreeBoundError, DidNotHaltError,
                          MachineContractError, NumberingError)
 from svmv.executor import execute, local_outputs
-from svmv.families import build_collapsed
+from svmv.families import ROOT, build_collapsed
 from svmv.graphs import PortNumberedGraph, random_colouring, random_graph
-from svmv.machines import AD_HOC_SV_MACHINES, EPSILON, SV, StateMachine
+from svmv.machines import (AD_HOC_SV_MACHINES, EPSILON, MV, SV,
+                           StateMachine)
 from svmv.problem import output_colour, solve_pi_mv
 from svmv.simulate import multiset_echo, mv_by_sv
 from svmv.views import canonical_sv
@@ -271,3 +272,92 @@ def test_stopped_node_talking_in_a_later_round_is_rejected():
     with pytest.raises(MachineContractError,
                        match="stopped node 'a' emitted 'late' in round 2"):
         execute(machine, two_node_path(), {"a": "B", "b": "W"}, max_rounds=3)
+
+
+def test_graph_changes_after_a_run_reach_the_next_run():
+    # The run plan is kept per graph and degree bound; every edit must drop
+    # it, including edits that make the graph unrunnable.
+    narrow, wide = canonical_sv(2), canonical_sv(3)
+    graph = path_graph(3)  # degrees 1, 2, 1
+    for machine in (narrow, wide):
+        execute(machine, graph, max_rounds=1)
+    graph.add_node(3)
+    _assert_matches_reference(wide, graph, None, 3)
+    graph.add_edge(2, 3, 2, 1)
+    _assert_matches_reference(narrow, graph, None, 3)
+    trace = execute(wide, graph, max_rounds=1)
+    assert trace.received(1, 3) == ((2, trace.states[0][2]), EPSILON, EPSILON)
+    graph.add_edge(1, 3, 3, 2)  # node 1 now has degree 3
+    with pytest.raises(DegreeBoundError):
+        execute(narrow, graph, max_rounds=1)
+    _assert_matches_reference(wide, graph, None, 3)
+    graph.add_edge(0, 3, 2, 4)  # node 3 writes out-port 4 > delta
+    with pytest.raises(NumberingError):
+        execute(wide, graph, max_rounds=1)
+
+
+def test_trace_keeps_the_layout_it_ran_on():
+    graph = path_graph(3)
+    trace = execute(canonical_sv(2), graph, max_rounds=2)
+    graph.add_edge(2, 3, 2, 1)
+    assert set(trace.messages[0]) == {0, 1, 2}
+    assert trace.received(2, 0) == trace.messages[1][0]
+
+
+def _counting_emit(machine):
+    calls = Counter()
+
+    def emit(state, port):
+        calls[state, port] += 1
+        return machine.emit(state, port)
+
+    return dataclasses.replace(machine, emit=emit), calls
+
+
+def _emitted_per_round(trace, graph, distinct):
+    want = Counter()
+    for r in range(1, trace.rounds() + 1):
+        pairs = [(trace.states[r - 1][u], graph.out_port(u, v))
+                 for v in graph.nodes for u in graph.neighbours(v)]
+        want.update(set(pairs) if distinct else pairs)
+    return want
+
+
+def test_set_reception_emits_once_per_distinct_state_and_port():
+    graph = build_collapsed("g", 3)
+    for machine in _sv_machines(3):
+        counted, calls = _counting_emit(machine)
+        trace = execute(counted, graph, max_rounds=5)
+        assert calls == _emitted_per_round(trace, graph, distinct=True)
+        assert sum(calls.values()) < 5 * 2 * len(graph.edges())
+
+
+def test_multiset_reception_emits_on_every_edge():
+    graph = random_graph(random.Random(3), 14, 3)
+    machine = StateMachine("mv-count", 3, MV, lambda deg, inp: deg,
+                           lambda s, p: ("c", s),
+                           lambda s, received: sum(received.values()) + s,
+                           lambda s: False)
+    counted, calls = _counting_emit(machine)
+    trace = execute(counted, graph, max_rounds=4)
+    assert calls == _emitted_per_round(trace, graph, distinct=False)
+    assert sum(calls.values()) == 4 * 2 * len(graph.edges())
+
+
+def test_trace_reads_agree_before_and_after_the_dicts_are_built():
+    # state() and received() read the per-round records directly; states
+    # and messages are built from the same records on first read.
+    graph = build_collapsed("g", 2)
+    machine = canonical_sv(2)
+    trace = execute(machine, graph, max_rounds=3)
+    first = trace.received(2, ROOT), trace.state(2, ROOT)
+    want_states, want_messages, _ = reference_execute(machine, graph, None, 3)
+    messages, states = trace.messages, trace.states
+    assert trace.messages is messages and trace.states is states
+    assert (messages[1][ROOT], states[2][ROOT]) == first
+    assert messages == want_messages and states == want_states
+    for r in range(4):
+        for v in graph.nodes:
+            assert trace.state(r, v) == want_states[r][v]
+            if r:
+                assert trace.received(r, v) == want_messages[r - 1][v]

@@ -1,6 +1,6 @@
 import pytest
 
-from svmv.errors import ResourceLimitError
+from svmv.errors import FormatError, ResourceLimitError
 from svmv.experiments import run_theorem1, run_theorem2
 
 
@@ -16,9 +16,11 @@ def test_message_equality_report_smallest_parameter():
 
 
 def test_message_equality_guard():
+    # Above the desk-scale cap is a resource limit; below the model's
+    # minimum is a usage error.
     with pytest.raises(ResourceLimitError):
         run_theorem1(5)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(FormatError):
         run_theorem1(1)
 
 
@@ -37,3 +39,5 @@ def test_root_experiment_smallest_parameter():
 def test_root_experiment_guard():
     with pytest.raises(ResourceLimitError):
         run_theorem2(4)
+    with pytest.raises(FormatError):
+        run_theorem2(1)

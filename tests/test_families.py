@@ -152,6 +152,40 @@ def test_coloured_ball_counts():
     assert graph.colour(ROOT) == "G"
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [2, 3])
+def test_ball_is_a_tree_with_full_interior(family, d):
+    # build_ball adds an edge only for a newly seen neighbour; the ball must
+    # still be the whole induced subtree: nodes - 1 edges, and every node
+    # inside the radius keeps its full-tree degree.
+    rng = random.Random(d)
+    lazy = FamilyView(family, d)
+    centres = [ROOT]
+    for _ in range(3):
+        centres.append(validate_random_descent(family, d, rng.randint(1, 2 * d),
+                                               rng=rng))
+    for centre in centres:
+        for radius in range(4):
+            graph = build_ball(family, d, centre, radius)
+            assert len(graph.edges()) == len(graph.nodes) - 1
+            dist = {centre: 0}
+            frontier = [centre]
+            while frontier:
+                v = frontier.pop()
+                for u in graph.neighbours(v):
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        frontier.append(u)
+            assert set(dist) == set(graph.nodes)
+            for v, k in dist.items():
+                assert k <= radius
+                assert graph.true_degree[v] == lazy.degree(v)
+                if k < radius:
+                    assert graph.degree(v) == lazy.degree(v)
+                    assert sorted(graph.neighbours(v)) == \
+                        sorted(lazy.neighbours(v))
+
+
 def test_ball_node_cap():
     with pytest.raises(ResourceLimitError):
         build_full("g", 6, max_nodes=10_000)
