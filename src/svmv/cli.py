@@ -47,10 +47,9 @@ def _write_json(path: str | None, payload) -> None:
 
 
 def cmd_build(args) -> int:
+    collapse = family_collapse(args.family, args.d) if args.collapse else None
     graph = build_ball(args.family, args.d, parse_path(args.center, args.family),
-                       args.radius, max_nodes=args.max_nodes)
-    if args.collapse:
-        graph = family_collapse(args.family, args.d).apply_graph(graph)
+                       args.radius, max_nodes=args.max_nodes, collapse=collapse)
     base = args.out or f"{args.family}_d{args.d}_r{args.radius}"
     _write_text(base + ".json", graph.to_json(node_fmt=format_path) + "\n")
     with open(base + ".dot", "w") as fh:

@@ -9,9 +9,12 @@ generalised port labels of the parent edge: the parent's label towards the
 child is ``b1`` and the child's label back is ``b2`` (colour-tagged with the
 target's colour in the coloured families).
 
-Trees are never materialised wholesale: children are regenerated on demand
-from the rules, which makes radius-bounded searches over large parameters
-cheap.  ``build_ball`` cuts an explicit graph when an executor needs one.
+Trees are never materialised wholesale.  A node's neighbourhood is fixed by
+its ``suffix_key(v, 1)`` (its depth and last one or two steps), so a
+:class:`FamilyView` evaluates the rules once per such class and keeps the
+result: at most O(d^3) entries per view, which makes radius-bounded searches
+over large parameters cheap.  ``build_ball`` cuts an explicit graph, with
+generalised or collapsed labels, when an executor needs one.
 """
 
 from __future__ import annotations
@@ -148,7 +151,8 @@ class PortCollapse:
     """Map from generalised labels to positive integers, applied edge-wise.
 
     Per node, the restriction to that node's out-labels (and separately its
-    in-labels) must stay injective; ``apply_graph`` enforces this.
+    in-labels) must stay injective; ``PortNumberedGraph.add_edge`` enforces
+    this when ``build_ball`` or ``apply_graph`` builds a collapsed graph.
     """
 
     name: str
@@ -203,9 +207,19 @@ def family_collapse(family: str, d: int) -> PortCollapse:
 class FamilyView:
     """Lazy neighbourhood access to a full family tree.
 
-    Nothing is materialised: neighbours and labels are recomputed from the
-    rules, optionally routed through a collapse.  This is the graph backend
-    for bisimilarity queries and walk searches at any reachable radius.
+    Nothing is materialised.  ``back_edges`` reads a private table keyed on
+    ``suffix_key(v, 1)``: each entry holds the parent's label towards ``v``
+    and the children's steps with their labels towards ``v``, filled from
+    ``children`` and ``pi`` the first time its key is seen.  The rules thus
+    run once per class, and a view holds at most O(d^3) entries (g: 87 at
+    d=5, hb/hw: 766).  The table lives and dies with the view.
+
+    A view reads its collapse once: the table keeps labels with the collapse
+    applied, so a view's collapse is fixed when it is made.  ``out_label``
+    still goes through ``pi`` and never reads the table, so the step labels
+    ``verify_psw`` re-checks and the label-uniqueness suite's out-labels stay
+    independent of it.  This is the graph backend for bisimilarity queries
+    and walk searches at any reachable radius.
     """
 
     def __init__(self, family: str, d: int, collapse: PortCollapse | None = None):
@@ -216,6 +230,11 @@ class FamilyView:
         self.family = family
         self.d = d
         self.collapse = collapse
+        # Steps a suffix key keeps beyond its radius (see suffix_key).
+        self._extra_steps = 0 if family == "g" else 1
+        # suffix_key(v, 1) -> (parent's label towards v or None,
+        #                      ((child step, child's label towards v), ...))
+        self._local: dict[tuple, tuple] = {}
 
     def degree(self, v: Path) -> int:
         return node_degree(self.family, v, self.d)
@@ -232,9 +251,22 @@ class FamilyView:
         label = pi(self.family, u, v)
         return self.collapse.apply(label) if self.collapse else label
 
+    def _local_entry(self, v: Path) -> tuple:
+        up = self._label(v[:-1], v) if v else None
+        return up, tuple((u[-1], self._label(u, v))
+                         for u in children(self.family, v, self.d))
+
     def back_edges(self, v: Path) -> list[tuple[Path, Any]]:
-        """Pairs (neighbour u, label of u towards v), parent first."""
-        return [(u, self._label(u, v)) for u in self.neighbours(v)]
+        """Pairs (neighbour u, label of u towards v): the parent first, then
+        the children in rule order."""
+        key = self.suffix_key(v, 1)
+        entry = self._local.get(key)
+        if entry is None:
+            entry = self._local[key] = self._local_entry(v)
+        up, down = entry
+        out = [(v[:-1], up)] if v else []
+        out.extend([(v + (step,), label) for step, label in down])
+        return out
 
     def out_label(self, u: Path, v: Path):
         return self._label(u, v)
@@ -251,25 +283,27 @@ class FamilyView:
         step at even depth, and a node's own colour is its input, so they
         keep ``radius + 1`` steps.
         """
-        keep = radius if self.family == "g" else radius + 1
-        return len(v), v[max(len(v) - keep, 0):]
+        keep = radius + self._extra_steps
+        return len(v), (v[-keep:] if keep else ())
 
 
 # -- materialisation --------------------------------------------------------
 
 
 def build_ball(family: str, d: int, center: Path, radius: int,
-               max_nodes: int = DEFAULT_MAX_NODES) -> PortNumberedGraph:
+               max_nodes: int = DEFAULT_MAX_NODES,
+               collapse: PortCollapse | None = None) -> PortNumberedGraph:
     """Induced subgraph on the nodes within ``radius`` of ``center``.
 
-    Generalised ports and (for coloured families) the colouring are
-    attached.  Every node's full-tree degree is recorded in ``true_degree``
-    so consumers can detect boundary truncation.
+    Generalised ports, or with ``collapse`` the collapsed ones, and (for
+    coloured families) the colouring are attached.  Every node's full-tree
+    degree is recorded in ``true_degree`` so consumers can detect boundary
+    truncation.
     """
     if radius < 0:
         raise FormatError("radius must be >= 0")
     validate_path(family, center, d)
-    lazy = FamilyView(family, d)
+    lazy = FamilyView(family, d, collapse)
     graph = PortNumberedGraph()
     graph.add_node(center, node_colour(family, center))
     graph.true_degree[center] = lazy.degree(center)
@@ -279,7 +313,7 @@ def build_ball(family: str, d: int, center: Path, radius: int,
         v, dist = frontier.popleft()
         if dist == radius:
             continue
-        for u in lazy.neighbours(v):
+        for u, label in lazy.back_edges(v):
             # The families are trees, so the one neighbour seen before is
             # v's BFS parent, whose edge to v already exists.
             if u in seen:
@@ -292,8 +326,10 @@ def build_ball(family: str, d: int, center: Path, radius: int,
             graph.add_node(u, node_colour(family, u))
             graph.true_degree[u] = lazy.degree(u)
             frontier.append((u, dist + 1))
-            lo, hi = (v, u) if len(v) < len(u) else (u, v)
-            graph.add_edge(lo, hi, pi(family, lo, hi), pi(family, hi, lo))
+            if len(v) < len(u):
+                graph.add_edge(v, u, lazy.out_label(v, u), label)
+            else:
+                graph.add_edge(u, v, label, lazy.out_label(v, u))
     return graph
 
 
@@ -306,8 +342,8 @@ def build_full(family: str, d: int,
 def build_collapsed(family: str, d: int,
                     max_nodes: int = DEFAULT_MAX_NODES) -> PortNumberedGraph:
     """Full tree with the family collapse applied (integer ports)."""
-    return family_collapse(family, d).apply_graph(
-        build_full(family, d, max_nodes=max_nodes))
+    return build_ball(family, d, ROOT, 2 * d, max_nodes=max_nodes,
+                      collapse=family_collapse(family, d))
 
 
 # -- textual syntax ---------------------------------------------------------

@@ -1,15 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 These recompute the same quantities as the package with deliberately
-different machinery: the child rules as literal iterated minimum picks, the
-critical separating length by raw path enumeration without deduplication,
+different machinery: the child rules as literal iterated minimum picks, a
+node's labelled neighbours straight from the rules with no per-view table,
+the critical separating length by raw path enumeration without deduplication,
 bisimilarity by direct unmemoised recursion, and synchronous execution by a
 straight per-round loop without slot tables or transition memo.
 """
 
 from collections import Counter
 
-from svmv.families import COMPLEMENT
+from svmv.families import COMPLEMENT, children, pi
 from svmv.machines import EPSILON, MV
 
 
@@ -68,6 +69,16 @@ def naive_children_h(v, d, family):
         f2.append(mex(range(2, d + 1), set(f2)))
         s2.append(mex(range(1, d), set(s2)))
     return same + [v + ((a, b, COMPLEMENT[gcol]),) for a, b in zip(f2, s2)]
+
+
+def rule_back_edges(view, v):
+    """``view.back_edges(v)`` from ``children``, ``pi`` and the view's
+    collapse alone: the parent first, then the children in rule order."""
+    neighbours = ([v[:-1]] if v else []) + children(view.family, v, view.d)
+    labels = [pi(view.family, u, v) for u in neighbours]
+    if view.collapse is not None:
+        labels = [view.collapse.apply(label) for label in labels]
+    return list(zip(neighbours, labels))
 
 
 def naive_back_label_map(v, d):

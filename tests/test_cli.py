@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import svmv
 from svmv.cli import main
@@ -160,6 +164,32 @@ def test_reproduce_csv_deterministic_for_fixed_seed(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+# Outputs of the lazy layer (walk search and bisimilarity); a change that
+# alters any byte of them must replace the files on purpose.
+LAZY_GOLDEN = [(f"psw_d{d}.json", ["psw", "--d", str(d)]) for d in (2, 3, 4, 5)]
+LAZY_GOLDEN += [
+    ("bisim_g_d4.json", ["bisim", "--family", "g", "--d", "4", "--a", "(1,0)",
+                         "--b", "(2,1)", "--radius", "8"]),
+    ("bisim_g_d4_collapsed.json", ["bisim", "--family", "g", "--d", "4",
+                                   "--a", "(1,0)", "--b", "(2,1)",
+                                   "--radius", "8", "--collapsed"]),
+    ("bisim_hb_d3_collapsed.json", ["bisim", "--family", "hb", "--d", "3",
+                                    "--a", "(1,0,B)", "--b", "(2,1,B)",
+                                    "--radius", "6", "--collapsed"]),
+    ("bisim_g_d3_leaf_root.json", ["bisim", "--family", "g", "--d", "3",
+                                   "--a", "(3,2)/(3,2)/(3,1)/(3,2)/(3,1)/(3,2)",
+                                   "--b", "()", "--radius", "3"]),
+]
+
+
+@pytest.mark.parametrize("name,args", LAZY_GOLDEN,
+                         ids=[name for name, _ in LAZY_GOLDEN])
+def test_lazy_layer_outputs_match_golden_files(tmp_path, name, args):
+    out = tmp_path / name
+    assert main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_theorem_report_stable_modulo_timings(tmp_path):
     docs = []
     for name, seed in (("r1.json", "1"), ("r2.json", "2")):
@@ -230,3 +260,72 @@ def test_reproduce_beyond_the_psw_cap_is_refused_before_searching(tmp_path):
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("resource cap: ")
     assert result.stdout == ""
+
+
+# Values the argv fuzz draws from.  A value starting with "@" names a file
+# in the test's directory; None marks a flag that takes no value.
+NUMBERS = ["-1", "0", "1", "2", "3", "x"]
+FAMILY_NAMES = ["g", "hb", "hw", "q"]
+PATHS = ["()", "(1,0)", "(2,1)", "(1,0)/(2,2)", "(1,0,B)", "(2,1,W)/(2,2,G)",
+         "(9,9)", "1,0"]
+FILES = ["@graph.json", "@candidate.json", "@malformed.json", "@missing.json",
+         "@."]
+ARGV_SPACE = {
+    "build": {"--family": FAMILY_NAMES, "--d": NUMBERS, "--radius": NUMBERS,
+              "--center": PATHS, "--collapse": None,
+              "--max-nodes": ["-1", "0", "1", "5", "500000"]},
+    "psw": {"--d": NUMBERS, "--max-pairs": ["0", "1", "10", "50000000"],
+            "--format": ["json", "dot", "svg"]},
+    "bisim": {"--family": FAMILY_NAMES, "--d": NUMBERS, "--a": PATHS,
+              "--b": PATHS, "--radius": NUMBERS, "--collapsed": None},
+    "theorem1": {"--delta": NUMBERS},
+    "theorem2": {"--d": NUMBERS},
+    "simulate": {"--inner": ["pi-solver", "multiset-echo", "none"],
+                 "--graph": FILES, "--max-rounds": NUMBERS},
+    "check-pi": {"--graph": FILES, "--candidate": FILES},
+    # A valid reproduce takes seconds and has its own tests above; the fuzz
+    # draws only --d-max values that the command must refuse.
+    "reproduce": {"--seed": NUMBERS, "--d-max": ["-1", "0", "1", "7", "x"]},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with each of its flags present most of the time, a
+    drawn value for each, and now and then a flag no command knows."""
+    command = draw(st.sampled_from(sorted(ARGV_SPACE)))
+    argv = [command]
+    for flag, values in ARGV_SPACE[command].items():
+        if draw(st.integers(0, 4)) == 0:
+            continue
+        argv.append(flag)
+        if values is not None:
+            argv.append(draw(st.sampled_from(values)))
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--bogus")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "graph.json").write_text(json.dumps(EDGE_GRAPH))
+    (root / "candidate.json").write_text(json.dumps({"x": "W", "y": "B"}))
+    (root / "malformed.json").write_text("{")
+    return root
+
+
+@settings(max_examples=50, deadline=None)
+@given(argv=cli_argv())
+def test_random_argv_exits_with_a_contract_code(argv_dir, argv):
+    argv = [str(argv_dir / arg[1:]) if arg.startswith("@") else arg
+            for arg in argv] + ["--out", str(argv_dir / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

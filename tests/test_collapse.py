@@ -1,8 +1,14 @@
+import json
+
 import pytest
 
-from svmv.errors import NumberingError
-from svmv.families import (ROOT, build_full, collapse_g, collapse_h,
-                           family_collapse)
+from svmv.bisim import MaterializedView, PointedInstance, bisimilar
+from svmv.cli import main
+from svmv.errors import BallExhaustedError, NumberingError
+from svmv.families import (FamilyView, ROOT, build_ball, build_collapsed,
+                           build_full, collapse_g, collapse_h,
+                           family_collapse, format_path)
+from svmv.graphs import PortNumberedGraph
 
 
 def test_plain_collapse_mapping():
@@ -84,3 +90,35 @@ def test_collapse_missing_label_detected():
     collapse = collapse_g(2)
     with pytest.raises(NumberingError):
         collapse.apply(7)
+
+
+@pytest.mark.parametrize("family,d", [("g", 2), ("g", 3), ("g", 4),
+                                      ("hb", 2), ("hb", 3),
+                                      ("hw", 2), ("hw", 3)])
+def test_one_pass_collapsed_build_equals_collapsing_the_full_tree(family, d):
+    collapse = family_collapse(family, d)
+    assert build_collapsed(family, d).to_json_dict() == \
+        collapse.apply_graph(build_full(family, d)).to_json_dict()
+
+
+def test_collapsed_ball_keeps_its_truncated_boundary(tmp_path):
+    family, d, centre = "g", 3, ((2, 1),)
+    collapse = family_collapse(family, d)
+    base = tmp_path / "ball"
+    assert main(["build", "--family", family, "--d", str(d), "--radius", "2",
+                 "--center", format_path(centre), "--collapse",
+                 "--out", str(base)]) == 0
+    text = (tmp_path / "ball.json").read_text()
+    two_pass = collapse.apply_graph(build_ball(family, d, centre, 2))
+    assert text == two_pass.to_json(node_fmt=format_path) + "\n"
+    doc = json.loads(text)
+    truncated = [rec["id"] for rec in doc["nodes"] if "true_degree" in rec]
+    assert "(1,0)" in truncated and "(2,1)/(2,1)/(2,0)" in truncated
+    # The root is one move from the centre, so radius 1 around it is inside
+    # the ball and radius 2 reaches the truncated depth-1 nodes.
+    ball = PointedInstance(MaterializedView(PortNumberedGraph.from_json(text)),
+                           format_path(ROOT))
+    lazy = PointedInstance(FamilyView(family, d, collapse), ROOT)
+    assert bisimilar(ball, lazy, 1)
+    with pytest.raises(BallExhaustedError):
+        bisimilar(ball, lazy, 2)

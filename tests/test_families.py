@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_children_g, naive_children_h
+from oracles import naive_children_g, naive_children_h, rule_back_edges
 from svmv.errors import FormatError, ResourceLimitError
 from svmv.families import (FAMILIES, FamilyView, ROOT, build_ball, build_full, children,
-                           children_g, children_h, format_path, g_projection,
-                           node_colour, node_degree, parse_path, pi,
-                           validate_path)
+                           children_g, children_h, family_collapse,
+                           format_path, g_projection, node_colour,
+                           node_degree, parse_path, pi, validate_path)
 
 
 def test_root_children_d5():
@@ -270,3 +270,43 @@ def test_rule_nodes_round_trip_through_text(node):
     family, d, v = node
     assert parse_path(format_path(v), family) == v
     validate_path(family, v, d)
+
+
+@pytest.mark.parametrize("family,d", [("g", 2), ("g", 3), ("g", 4),
+                                      ("hb", 2), ("hb", 3),
+                                      ("hw", 2), ("hw", 3)])
+def test_back_edges_follow_the_rules_at_every_node(family, d):
+    # One view serves the whole tree, so a table entry filled from one node
+    # is read back at every other node with the same key.
+    for collapse in (None, family_collapse(family, d)):
+        view = FamilyView(family, d, collapse)
+        stack = [ROOT]
+        while stack:
+            v = stack.pop()
+            assert view.back_edges(v) == rule_back_edges(view, v), \
+                (family, d, collapse, format_path(v))
+            stack.extend(children(family, v, d))
+
+
+@st.composite
+def descents(draw):
+    """A family, d in 5..6, a collapse flag and several random descents."""
+    family = draw(st.sampled_from(FAMILIES))
+    d = draw(st.integers(5, 6))
+    nodes = []
+    for _ in range(draw(st.integers(1, 12))):
+        v = ROOT
+        for _ in range(draw(st.integers(0, 2 * d))):
+            v = draw(st.sampled_from(children(family, v, d)))
+        nodes.append(v)
+    return family, d, draw(st.booleans()), nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(descents())
+def test_back_edges_follow_the_rules_on_deep_trees(sample):
+    family, d, collapsed, nodes = sample
+    view = FamilyView(family, d,
+                      family_collapse(family, d) if collapsed else None)
+    for v in nodes:
+        assert view.back_edges(v) == rule_back_edges(view, v)
