@@ -21,8 +21,8 @@ from .executor import ExecutionTrace, execute, local_outputs
 from .families import (FamilyView, PortCollapse, ROOT, build_ball,
                        build_collapsed, build_full, children, children_g,
                        children_h, collapse_g, collapse_h, family_collapse,
-                       format_path, g_projection, h_counterpart, node_colour,
-                       node_degree, parse_path, pi, validate_path)
+                       format_path, h_counterpart, node_colour, node_degree,
+                       parse_path, pi, validate_path)
 from .graphs import PortNumberedGraph, random_colouring, random_graph
 from .machines import (AD_HOC_SV_MACHINES, EPSILON, MV, SV, StateMachine,
                        vmset_reduce, vset_reduce)

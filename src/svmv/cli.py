@@ -24,8 +24,8 @@ from .experiments import run_theorem1, run_theorem2
 from .walks import find_critical_psw, verify_psw
 
 INNER_MACHINES = {
-    "pi-solver": lambda delta: solve_pi_mv(delta),
-    "multiset-echo": lambda delta: multiset_echo(delta),
+    "pi-solver": solve_pi_mv,
+    "multiset-echo": multiset_echo,
 }
 
 EXIT_OK = 0

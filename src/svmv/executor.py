@@ -7,13 +7,12 @@ degree bound, reduced to a set or multiset per the machine's reception
 class, and fed to the transition.  ``max_rounds`` is mandatory: there are no
 open-ended runs.
 
-Set-reception machines are stepped per distinct value: each round calls
+Both reception classes are stepped per distinct value: each round calls
 ``emit`` once per distinct (state, out-port) pair on the graph's edges, and
-each distinct (state, received set) pair is passed to ``transition`` once
-per run, every node holding that pair getting the same result.  ``emit``
-and ``transition`` must therefore be pure functions and states must be
-hashable.  Multiset reception calls ``emit`` on every edge and
-``transition`` for every running node.
+each distinct (state, received) pair is passed to ``transition`` once per
+run, every node holding that pair getting the same result.  ``emit`` and
+``transition`` must therefore be pure functions, and states and messages
+must be hashable.
 
 The graph's :class:`~svmv.graphs.RunPlan` fixes the node order and the flat
 per-edge message layout.  Each round fills one flat message list in that
@@ -116,59 +115,40 @@ def execute(machine: StateMachine, graph: PortNumberedGraph,
     states = [machine.init(degree, inputs.get(v))
               for v, degree in zip(nodes, plan.degrees)]
     stopped = [machine.stopping(state) for state in states]
+    if machine.reception_class == MV:
+        canonical, reduce = _sorted_ids, vmset_reduce
+    else:
+        canonical, reduce = frozenset, vset_reduce
     for state, halted in zip(states, stopped):
         if halted:
-            _check_stop_contract(machine, state, delta)
+            _check_stop_contract(machine, state, delta, reduce)
     trace = ExecutionTrace(delta, plan)
     trace._rows.append(states)
     if all(stopped):
         trace.stopped_round = 0
-    elif machine.reception_class == MV:
-        _multiset_rounds(machine, plan, states, stopped, trace, max_rounds)
     else:
-        _set_rounds(machine, plan, states, stopped, trace, max_rounds)
+        _rounds(machine, plan, states, stopped, trace, max_rounds,
+                canonical, reduce)
     return trace
 
 
-def _multiset_rounds(machine, plan, states, stopped, trace, max_rounds):
-    """Rounds of a multiset-reception run: ``emit`` on every edge and
-    ``transition`` for every running node (a ``Counter`` is unhashable)."""
-    emit, transition = machine.emit, machine.transition
-    stopping = machine.stopping
-    senders, ports = plan.senders, plan.ports
-    any_stopped = any(stopped)
-    for r in range(1, max_rounds + 1):
-        flat = list(map(emit, map(states.__getitem__, senders), ports))
-        if any_stopped:
-            _check_stopped_senders(plan, stopped, flat, r)
-        flat.append(EPSILON)
-        next_states = []
-        for i, (state, gather) in enumerate(zip(states, plan.gathers)):
-            if stopped[i]:
-                next_states.append(state)
-                continue
-            new = transition(state, vmset_reduce(gather(flat)))
-            if stopping(new):
-                _check_stop_contract(machine, new, trace.delta)
-                stopped[i] = any_stopped = True
-            next_states.append(new)
-        states = next_states
-        trace._rows.append(states)
-        trace._flat.append(flat)
-        if all(stopped):
-            trace.stopped_round = r
-            return
+def _sorted_ids(ids) -> tuple:
+    return tuple(sorted(ids))
 
 
-def _set_rounds(machine, plan, states, stopped, trace, max_rounds):
-    """Rounds of a set-reception run, stepped per distinct value.
+def _rounds(machine, plan, states, stopped, trace, max_rounds,
+            canonical, reduce):
+    """The synchronous rounds of a run, stepped per distinct value.
 
     Distinct states and distinct messages get integer ids.  A state's id is
     a multiple of ``delta + 1``, so ``state id + out-port`` names one
     (state, out-port) pair and ``emit`` runs once per distinct pair in a
-    round.  A node's next state is memoised per run on (state id, set of
-    message ids), so ``transition`` runs once per distinct (state, received
-    set) pair.
+    round.  ``canonical`` turns a node's padded vector of message ids into
+    a key for what it receives (a set of ids for set reception, the sorted
+    ids for multiset reception) and ``reduce`` turns the key's messages
+    into ``transition``'s argument.  A node's next state is memoised per
+    run on (state id, key), so ``transition`` runs once per distinct
+    (state, received) pair.
     """
     emit, transition = machine.emit, machine.transition
     stopping = machine.stopping
@@ -209,15 +189,16 @@ def _set_rounds(machine, plan, states, stopped, trace, max_rounds):
             if stopped[i]:
                 next_sids.append(sid)
                 continue
-            key = (sid, frozenset(gather(flat)))
+            key = (sid, canonical(gather(flat)))
             hit = memo.get(key)
             if hit is None:
-                received = frozenset(map(message_of.__getitem__, key[1]))
+                received = reduce(map(message_of.__getitem__, key[1]))
                 new = transition(state_of[sid], received)
                 hit = memo[key] = (identify(new), stopping(new))
             new_sid, halts = hit
             if halts:
-                _check_stop_contract(machine, state_of[new_sid], trace.delta)
+                _check_stop_contract(machine, state_of[new_sid], trace.delta,
+                                     reduce)
                 stopped[i] = any_stopped = True
             next_sids.append(new_sid)
         sids = next_sids
@@ -235,14 +216,12 @@ def _check_stopped_senders(plan, stopped, flat, r):
                 f"stopped node {plan.nodes[u]!r} emitted {m!r} in round {r}")
 
 
-def _check_stop_contract(machine: StateMachine, state, delta: int):
+def _check_stop_contract(machine: StateMachine, state, delta: int, reduce):
     for port in range(1, delta + 1):
         if machine.emit(state, port) is not EPSILON:
             raise MachineContractError(
                 f"stopping state {state!r} emits a message on port {port}")
-    idle = (EPSILON,) * delta
-    reduce = vmset_reduce if machine.reception_class == MV else vset_reduce
-    if machine.transition(state, reduce(idle)) != state:
+    if machine.transition(state, reduce((EPSILON,) * delta)) != state:
         raise MachineContractError(
             f"stopping state {state!r} is not a fixed point")
 

@@ -21,8 +21,7 @@ NODE_U = ((1, 0),)
 NODE_W = ((2, 1),)
 
 
-def run_theorem1(delta: int, include_extra: bool = True,
-                 max_nodes: int = 500_000) -> dict:
+def run_theorem1(delta: int) -> dict:
     """Messages into the root from its first two children, round by round.
 
     On the collapsed plain tree both children write out-port 1 towards the
@@ -36,7 +35,7 @@ def run_theorem1(delta: int, include_extra: bool = True,
         raise ResourceLimitError(
             f"full-tree runs are capped at delta <= 4 (asked for {delta})")
     t0 = time.perf_counter()
-    graph = build_collapsed("g", delta, max_nodes=max_nodes)
+    graph = build_collapsed("g", delta)
     horizon = 2 * delta - 1
     port_u = graph.out_port(NODE_U, ROOT)
     port_w = graph.out_port(NODE_W, ROOT)
@@ -55,13 +54,12 @@ def run_theorem1(delta: int, include_extra: bool = True,
     rows = message_rows(canonical_sv(delta))
     equal_through, first_diff = _agreement(rows)
     extra = {}
-    if include_extra:
-        for name, factory in AD_HOC_SV_MACHINES.items():
-            erows = message_rows(factory(delta))
-            extra[name] = {
-                "rounds": erows,
-                "equal_through": _agreement(erows)[0],
-            }
+    for name, factory in AD_HOC_SV_MACHINES.items():
+        erows = message_rows(factory(delta))
+        extra[name] = {
+            "rounds": erows,
+            "equal_through": _agreement(erows)[0],
+        }
     report = {
         "delta": delta,
         "nodes": len(graph.nodes),
@@ -89,7 +87,7 @@ def _agreement(rows) -> tuple[int, int | None]:
     return rows[-1]["r"], None
 
 
-def run_theorem2(d: int, max_nodes: int = 500_000) -> dict:
+def run_theorem2(d: int) -> dict:
     """Root behaviour on the two coloured trees, round by round.
 
     Records root-state equality of the full-information machine on the
@@ -103,8 +101,8 @@ def run_theorem2(d: int, max_nodes: int = 500_000) -> dict:
             f"full coloured-tree runs are capped at d <= 3 (got {d})")
     t0 = time.perf_counter()
     delta = 2 * d - 1
-    graph_b = build_collapsed("hb", d, max_nodes=max_nodes)
-    graph_w = build_collapsed("hw", d, max_nodes=max_nodes)
+    graph_b = build_collapsed("hb", d)
+    graph_w = build_collapsed("hw", d)
     horizon = 4 * d - 3
     machine = canonical_sv(delta)
     trace_b = execute(machine, graph_b, max_rounds=horizon)

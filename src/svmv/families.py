@@ -215,11 +215,11 @@ class FamilyView:
     d=5, hb/hw: 766).  The table lives and dies with the view.
 
     A view reads its collapse once: the table keeps labels with the collapse
-    applied, so a view's collapse is fixed when it is made.  ``out_label``
-    still goes through ``pi`` and never reads the table, so the step labels
-    ``verify_psw`` re-checks and the label-uniqueness suite's out-labels stay
-    independent of it.  This is the graph backend for bisimilarity queries
-    and walk searches at any reachable radius.
+    applied, so ``family``, ``d`` and ``collapse`` are read-only.
+    ``out_label`` still goes through ``pi`` and never reads the table, so
+    the step labels ``verify_psw`` re-checks and the label-uniqueness
+    suite's out-labels stay independent of it.  This is the graph backend
+    for bisimilarity queries and walk searches at any reachable radius.
     """
 
     def __init__(self, family: str, d: int, collapse: PortCollapse | None = None):
@@ -227,34 +227,46 @@ class FamilyView:
             raise FormatError(f"unknown family {family!r}")
         if d < 2:
             raise FormatError("family parameter d must be >= 2")
-        self.family = family
-        self.d = d
-        self.collapse = collapse
+        self._family = family
+        self._d = d
+        self._collapse = collapse
         # Steps a suffix key keeps beyond its radius (see suffix_key).
         self._extra_steps = 0 if family == "g" else 1
         # suffix_key(v, 1) -> (parent's label towards v or None,
         #                      ((child step, child's label towards v), ...))
         self._local: dict[tuple, tuple] = {}
 
+    @property
+    def family(self) -> str:
+        return self._family
+
+    @property
+    def d(self) -> int:
+        return self._d
+
+    @property
+    def collapse(self) -> PortCollapse | None:
+        return self._collapse
+
     def degree(self, v: Path) -> int:
-        return node_degree(self.family, v, self.d)
+        return node_degree(self._family, v, self._d)
 
     def local_input(self, v: Path):
-        return node_colour(self.family, v)
+        return node_colour(self._family, v)
 
     def neighbours(self, v: Path) -> list[Path]:
         out = [] if not v else [v[:-1]]
-        out.extend(children(self.family, v, self.d))
+        out.extend(children(self._family, v, self._d))
         return out
 
     def _label(self, u: Path, v: Path):
-        label = pi(self.family, u, v)
-        return self.collapse.apply(label) if self.collapse else label
+        label = pi(self._family, u, v)
+        return self._collapse.apply(label) if self._collapse else label
 
     def _local_entry(self, v: Path) -> tuple:
         up = self._label(v[:-1], v) if v else None
         return up, tuple((u[-1], self._label(u, v))
-                         for u in children(self.family, v, self.d))
+                         for u in children(self._family, v, self._d))
 
     def back_edges(self, v: Path) -> list[tuple[Path, Any]]:
         """Pairs (neighbour u, label of u towards v): the parent first, then
@@ -339,10 +351,9 @@ def build_full(family: str, d: int,
     return build_ball(family, d, ROOT, 2 * d, max_nodes=max_nodes)
 
 
-def build_collapsed(family: str, d: int,
-                    max_nodes: int = DEFAULT_MAX_NODES) -> PortNumberedGraph:
+def build_collapsed(family: str, d: int) -> PortNumberedGraph:
     """Full tree with the family collapse applied (integer ports)."""
-    return build_ball(family, d, ROOT, 2 * d, max_nodes=max_nodes,
+    return build_ball(family, d, ROOT, 2 * d,
                       collapse=family_collapse(family, d))
 
 
@@ -383,11 +394,6 @@ def parse_path(text: str, family: str) -> Path:
                 raise FormatError(f"bad colour {parts[2]!r} in step {chunk!r}")
             steps.append(nums + (parts[2],))
     return tuple(steps)
-
-
-def g_projection(v: Path) -> Path:
-    """Drop colours from a coloured-family node, yielding a plain node."""
-    return tuple((b1, b2) for b1, b2, _ in v)
 
 
 def h_counterpart(v: Path) -> Path | None:

@@ -60,10 +60,9 @@ class StateMachine:
     counts sum to ``delta`` for class ``mv``; stopping states must be fixed
     points.  ``input_alphabet``, when given, is enforced by the executor.
 
-    For class ``sv`` the executor calls ``emit`` once per distinct (state,
+    For both classes the executor calls ``emit`` once per distinct (state,
     port) pair in a round and ``transition`` once per distinct (state,
-    received) pair in a run, so both must be pure and states must be
-    hashable.
+    received) pair in a run, so both must be pure.
     """
 
     name: str

@@ -257,14 +257,15 @@ def executor_agreement_suite(seed: int, cases: int = 50) -> SuiteResult:
     for d in (2, 3):
         graph = build_collapsed("g", d)
         view = MaterializedView(graph)
-        prepared.append((view, graph, ((1, 0),), ((2, 1),), 2 * d, None))
+        prepared.append(((view, view), (graph, graph), ((1, 0),), ((2, 1),),
+                         2 * d))
     d = 2
     gb, gw = build_collapsed("hb", d), build_collapsed("hw", d)
     for _ in range(6):
         v = _random_path(rng, "hb", d, first_step=lambda s: s[0] >= 2)
         u = h_counterpart(v)
         prepared.append(((MaterializedView(gb), MaterializedView(gw)),
-                         (gb, gw), v, u, 2 * d - 2, None))
+                         (gb, gw), v, u, 2 * d - 2))
 
     count = 0
     while count < cases:
@@ -277,11 +278,9 @@ def executor_agreement_suite(seed: int, cases: int = 50) -> SuiteResult:
             if rng.random() < 0.5:
                 graph.colours.update(random_colouring(rng, graph))
             x, y = rng.choice(graph.nodes), rng.choice(graph.nodes)
-            entry = (MaterializedView(graph), graph, x, y, 4, None)
-        views, graphs, x, y, cap, _ = entry
-        if not isinstance(views, tuple):
-            views = (views, views)
-            graphs = (graphs, graphs)
+            view = MaterializedView(graph)
+            entry = ((view, view), (graph, graph), x, y, 4)
+        views, graphs, x, y, cap = entry
         count += 1
         radius = max_bisim_radius(PointedInstance(views[0], x),
                                   PointedInstance(views[1], y), cap)

@@ -11,7 +11,7 @@ from svmv.executor import execute, local_outputs
 from svmv.families import ROOT, build_collapsed
 from svmv.graphs import PortNumberedGraph, random_colouring, random_graph
 from svmv.machines import (AD_HOC_SV_MACHINES, EPSILON, MV, SV,
-                           StateMachine)
+                           StateMachine, vmset_reduce, vset_reduce)
 from svmv.problem import output_colour, solve_pi_mv
 from svmv.simulate import multiset_echo, mv_by_sv
 from svmv.views import canonical_sv
@@ -193,7 +193,6 @@ def test_incoming_slot_order_is_reception_irrelevant():
 
 
 def test_multiplicity_blindness_at_reduction_boundary():
-    from svmv.machines import vset_reduce
     from svmv.views import view_root
     machine = canonical_sv(3)
     state = machine.init(2, None)
@@ -235,22 +234,41 @@ def test_execute_matches_reference_on_random_graphs():
             _assert_matches_reference(machine, graph, colours, 3 * delta)
 
 
+def _received_key(received):
+    return frozenset(Counter(received).items())
+
+
+def _assert_transition_runs_once(machine, graph, colouring, max_rounds):
+    calls = Counter()
+
+    def counting(state, received, inner=machine.transition):
+        # The stop-contract probe of a stopping state is not a round step.
+        if not machine.stopping(state):
+            calls[state, _received_key(received)] += 1
+        return inner(state, received)
+
+    trace = execute(dataclasses.replace(machine, transition=counting),
+                    graph, colouring, max_rounds=max_rounds)
+    reduce = vmset_reduce if machine.reception_class == MV else vset_reduce
+    pairs = {(trace.states[r - 1][v],
+              _received_key(reduce(trace.messages[r - 1][v])))
+             for r in range(1, trace.rounds() + 1) for v in graph.nodes
+             if not machine.stopping(trace.states[r - 1][v])}
+    assert set(calls) == pairs
+    assert set(calls.values()) == {1}
+    return pairs
+
+
 def test_set_transition_runs_once_per_distinct_input():
     graph = build_collapsed("g", 3)
     for machine in _sv_machines(3):
-        calls = Counter()
-
-        def counting(state, received, inner=machine.transition):
-            calls[state, received] += 1
-            return inner(state, received)
-
-        trace = execute(dataclasses.replace(machine, transition=counting),
-                        graph, max_rounds=5)
-        pairs = {(trace.states[r - 1][v], frozenset(trace.messages[r - 1][v]))
-                 for r in range(1, 6) for v in graph.nodes}
-        assert set(calls) == pairs
-        assert set(calls.values()) == {1}
+        pairs = _assert_transition_runs_once(machine, graph, None, 5)
         assert len(pairs) < 5 * len(graph.nodes)
+    rng = random.Random(3)
+    graph = random_graph(rng, 14, 3)
+    colours = random_colouring(rng, graph)
+    for machine in (solve_pi_mv(3), multiset_echo(3)):
+        assert _assert_transition_runs_once(machine, graph, colours, 5)
 
 
 def test_stopped_node_talking_in_a_later_round_is_rejected():
@@ -314,34 +332,26 @@ def _counting_emit(machine):
     return dataclasses.replace(machine, emit=emit), calls
 
 
-def _emitted_per_round(trace, graph, distinct):
+def _emitted_per_round(trace, graph):
     want = Counter()
     for r in range(1, trace.rounds() + 1):
-        pairs = [(trace.states[r - 1][u], graph.out_port(u, v))
-                 for v in graph.nodes for u in graph.neighbours(v)]
-        want.update(set(pairs) if distinct else pairs)
+        want.update({(trace.states[r - 1][u], graph.out_port(u, v))
+                     for v in graph.nodes for u in graph.neighbours(v)})
     return want
 
 
-def test_set_reception_emits_once_per_distinct_state_and_port():
-    graph = build_collapsed("g", 3)
-    for machine in _sv_machines(3):
+def test_emit_runs_once_per_distinct_state_and_port():
+    mv_count = StateMachine("mv-count", 3, MV, lambda deg, inp: deg,
+                            lambda s, p: ("c", s),
+                            lambda s, received: sum(received.values()) + s,
+                            lambda s: False)
+    cases = [(machine, build_collapsed("g", 3)) for machine in _sv_machines(3)]
+    cases.append((mv_count, random_graph(random.Random(3), 14, 3)))
+    for machine, graph in cases:
         counted, calls = _counting_emit(machine)
         trace = execute(counted, graph, max_rounds=5)
-        assert calls == _emitted_per_round(trace, graph, distinct=True)
+        assert calls == _emitted_per_round(trace, graph)
         assert sum(calls.values()) < 5 * 2 * len(graph.edges())
-
-
-def test_multiset_reception_emits_on_every_edge():
-    graph = random_graph(random.Random(3), 14, 3)
-    machine = StateMachine("mv-count", 3, MV, lambda deg, inp: deg,
-                           lambda s, p: ("c", s),
-                           lambda s, received: sum(received.values()) + s,
-                           lambda s: False)
-    counted, calls = _counting_emit(machine)
-    trace = execute(counted, graph, max_rounds=4)
-    assert calls == _emitted_per_round(trace, graph, distinct=False)
-    assert sum(calls.values()) == 4 * 2 * len(graph.edges())
 
 
 def test_trace_reads_agree_before_and_after_the_dicts_are_built():

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from svmv.errors import FormatError, ResourceLimitError
@@ -41,3 +44,19 @@ def test_root_experiment_guard():
         run_theorem2(4)
     with pytest.raises(FormatError):
         run_theorem2(1)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("run, parameter, name", [
+    (run_theorem1, 3, "theorem1_delta3.json"),
+    (run_theorem2, 3, "theorem2_d3.json"),
+])
+def test_reports_match_golden_files(run, parameter, name):
+    # Pins every field but timings_ms, the mv solver on the coloured trees
+    # included; the files use the CLI's JSON layout.
+    report = run(parameter)
+    del report["timings_ms"]
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / name).read_text()

@@ -8,7 +8,7 @@ from oracles import naive_children_g, naive_children_h, rule_back_edges
 from svmv.errors import FormatError, ResourceLimitError
 from svmv.families import (FAMILIES, FamilyView, ROOT, build_ball, build_full, children,
                            children_g, children_h, family_collapse,
-                           format_path, g_projection, node_colour,
+                           format_path, node_colour,
                            node_degree, parse_path, pi, validate_path)
 
 
@@ -228,7 +228,7 @@ def test_single_colour_subtree_is_isomorphic_to_plain_tree(d):
             v = stack.pop()
             for child in children(family, v, d):
                 if child[-1][2] in (keep, "G"):
-                    mapped[child] = g_projection(child)
+                    mapped[child] = tuple(s[:2] for s in child)
                     plain.add(child)
                     stack.append(child)
         full_plain = set()
@@ -245,6 +245,17 @@ def test_single_colour_subtree_is_isomorphic_to_plain_tree(d):
             num_label_up = pi(family, v, v[:-1])[0]
             assert num_label_up == pi("g", image, image[:-1])
             assert pi(family, v[:-1], v)[0] == pi("g", image[:-1], image)
+
+
+def test_view_parameters_are_read_only():
+    # The back-edge table keeps labels made with the view's parameters.
+    view = FamilyView("g", 3)
+    view.back_edges(((1, 0), (2, 2)))
+    for name, value in (("family", "hb"), ("d", 4),
+                        ("collapse", family_collapse("g", 3))):
+        with pytest.raises(AttributeError):
+            setattr(view, name, value)
+    assert (view.family, view.d, view.collapse) == ("g", 3, None)
 
 
 def test_node_colour():
