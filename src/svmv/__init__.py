@@ -32,7 +32,6 @@ from .simulate import (SimulationReport, audit_signatures, gather_rounds,
 from .experiments import run_theorem1, run_theorem2
 from .views import ViewTree, canonical_sv, extend_view, view, view_root
 from .walks import (PCW, PSW, VerifyResult, WalkPair, find_critical_psw,
-                    separating_depths, successor, verify_psw,
-                    walk_pair_from_labels)
+                    successor, verify_psw, walk_pair_from_labels)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,22 +7,29 @@ degree bound, reduced to a set or multiset per the machine's reception
 class, and fed to the transition.  ``max_rounds`` is mandatory: there are no
 open-ended runs.
 
-Both reception classes are stepped per distinct value: each round calls
-``emit`` once per distinct (state, out-port) pair on the graph's edges, and
-each distinct (state, received) pair is passed to ``transition`` once per
-run, every node holding that pair getting the same result.  ``emit`` and
+Runs step per partition class, not per node.  Round 0 groups the nodes by
+(degree, input); round ``r`` splits each class of round ``r - 1`` by the
+(sender's class, sender's out-port) pairs on its nodes' in-ports, taken as
+a set for set reception and as a multiset for multiset reception.  Nodes of
+one class hold equal states in every machine of that reception class, so
+the partition is built once per graph, degree bound, reception class and
+input, kept on the graph's :class:`~svmv.graphs.RunPlan`, and shared by
+later runs.  A run calls ``init`` once per distinct (degree, input),
+``emit`` once per distinct (state, out-port) pair in a round and
+``transition`` once per distinct (state, received) pair in the run, each
+result shared by every node it covers.  ``init``, ``emit`` and
 ``transition`` must therefore be pure functions, and states and messages
 must be hashable.
 
-The graph's :class:`~svmv.graphs.RunPlan` fixes the node order and the flat
-per-edge message layout.  Each round fills one flat message list in that
-layout; the trace keeps it with the round's states in node order and builds
-per-node dicts only when they are read.
+A trace keeps each round's states in node order; the delivered messages
+are rebuilt from them and the machine's ``emit`` when first read.
 """
 
 from __future__ import annotations
 
-from operator import add
+from functools import cache, cached_property
+from itertools import repeat
+from operator import add, mod, sub
 from typing import Any
 
 from .errors import DidNotHaltError, MachineContractError, NumberingError
@@ -39,36 +46,32 @@ class ExecutionTrace:
     ``stopped_round`` is the first round in which every node is stopping, or
     None if ``max_rounds`` ran out first.
 
-    The run records each round's states in node order and its flat
-    per-edge message list (laid out by the graph's :class:`RunPlan`);
-    ``states`` and ``messages`` are built from those on first read, while
-    :meth:`state` and :meth:`received` read them directly.
+    The run records each round's states in node order; ``states``,
+    ``messages`` and :meth:`received` are rebuilt from them on read.
     """
 
-    def __init__(self, delta: int, plan: RunPlan):
+    def __init__(self, delta: int, plan: RunPlan, emit):
         self.delta = delta
         self.stopped_round: int | None = None
         self._plan = plan
+        self._emit = emit
         self._rows: list[list] = []
-        self._flat: list[list] = []
-        self._states: list[dict[Any, Any]] | None = None
-        self._messages: list[dict[Any, tuple]] | None = None
 
-    @property
+    @cached_property
     def states(self) -> list[dict[Any, Any]]:
-        if self._states is None:
-            nodes = self._plan.nodes
-            self._states = [dict(zip(nodes, row)) for row in self._rows]
-        return self._states
+        return [dict(zip(self._plan.nodes, row)) for row in self._rows]
 
-    @property
+    @cached_property
     def messages(self) -> list[dict[Any, tuple]]:
-        if self._messages is None:
-            nodes, gathers = self._plan.nodes, self._plan.gathers
-            self._messages = [dict(zip(nodes, [gather(flat)
-                                               for gather in gathers]))
-                              for flat in self._flat]
-        return self._messages
+        plan, emit = self._plan, cache(self._emit)  # emit is pure
+        pads = [(EPSILON,) * (self.delta - degree) for degree in plan.degrees]
+        out = []
+        for row in self._rows[:-1]:
+            flat = tuple(map(emit, map(row.__getitem__, plan.senders),
+                             plan.ports))
+            out.append(dict(zip(plan.nodes, map(add, map(flat.__getitem__,
+                                                         plan.slots), pads))))
+        return out
 
     def rounds(self) -> int:
         return len(self._rows) - 1
@@ -83,10 +86,59 @@ class ExecutionTrace:
     def received(self, r: int, v) -> tuple:
         """Padded message vector delivered to ``v`` in round ``r`` (r >= 1)."""
         if 1 <= r < len(self._rows):
-            return self._plan.gathers[self._plan.index[v]](self._flat[r - 1])
+            return self.messages[r - 1][v]
         if self.stopped_round is not None and r >= len(self._rows):
             return (EPSILON,) * self.delta
         raise IndexError(f"round {r} not recorded")
+
+
+class _Partition:
+    """The node classes of every round for one reception class and input.
+
+    Class ids are multiples of ``delta + 1``, numbered in order of first
+    occurrence, so ``class + port`` names one (class, out-port) pair; 0
+    stands for the epsilon pad.  ``rounds[r]`` is a triple: the class of
+    each node in round ``r``; each class with what fixes its nodes' states
+    (``(degree, input)`` in round 0, later its class in round ``r - 1`` and
+    the pairs and pads it receives, in ``canonical`` form); and the
+    distinct pairs on the graph's edges with, in step, their classes and
+    ports.  :meth:`extend` adds the next round.
+    """
+
+    def __init__(self, plan: RunPlan, inputs: tuple, delta: int, canonical):
+        self.inputs, self.canonical, self.width = inputs, canonical, delta + 1
+        row, ids = self._number(zip(plan.degrees, inputs))
+        self.rounds = [(row, [(cid, key) for key, cid in ids.items()],
+                        ((), (), ()))]
+        self._pads = {cid: (0,) * (delta - degree)
+                      for (degree, _), cid in ids.items()}
+
+    def extend(self, plan: RunPlan):
+        if len(self.rounds) > 1 and \
+                len(self.rounds[-1][1]) == len(self.rounds[-2][1]):
+            # Nothing split, so nothing ever will: later rounds repeat this.
+            self.rounds.append(self.rounds[-1])
+            return
+        canonical, pads, prev = self.canonical, self._pads, self.rounds[-1][0]
+        codes = list(map(add, map(prev.__getitem__, plan.senders), plan.ports))
+        row, ids = self._number(zip(prev, map(canonical, map(codes.__getitem__,
+                                                             plan.slots))))
+        pairs = tuple(dict.fromkeys(codes))
+        ports = tuple(map(mod, pairs, repeat(self.width, len(pairs))))
+        self.rounds.append((row, [(cid, (p, canonical((*pads[p], *got))))
+                                  for (p, got), cid in ids.items()],
+                            (pairs, tuple(map(sub, pairs, ports)), ports)))
+        self._pads = {cid: pads[p] for (p, _), cid in ids.items()}
+
+    def _number(self, keys) -> tuple[list, dict]:
+        """Each node's class and the classes: keys numbered as first seen."""
+        ids, row, width = {}, [], self.width
+        for key in keys:
+            cid = ids.get(key)
+            if cid is None:
+                cid = ids[key] = width * len(ids)
+            row.append(cid)
+        return row, ids
 
 
 def execute(machine: StateMachine, graph: PortNumberedGraph,
@@ -103,58 +155,41 @@ def execute(machine: StateMachine, graph: PortNumberedGraph,
         raise ValueError("max_rounds must be >= 0")
     delta = machine.delta
     plan = graph.run_plan(delta)
-    nodes = plan.nodes
     inputs = colouring if colouring is not None else graph.colours
+    local = tuple(map(inputs.get, plan.nodes))
     if machine.input_alphabet is not None:
-        for v in nodes:
-            if inputs.get(v) not in machine.input_alphabet:
+        for v, value in zip(plan.nodes, local):
+            if value not in machine.input_alphabet:
                 raise NumberingError(
-                    f"local input {inputs.get(v)!r} of node {v!r} is outside "
+                    f"local input {value!r} of node {v!r} is outside "
                     f"the machine's input alphabet")
-
-    states = [machine.init(degree, inputs.get(v))
-              for v, degree in zip(nodes, plan.degrees)]
-    stopped = [machine.stopping(state) for state in states]
-    if machine.reception_class == MV:
-        canonical, reduce = _sorted_ids, vmset_reduce
-    else:
-        canonical, reduce = frozenset, vset_reduce
-    for state, halted in zip(states, stopped):
-        if halted:
-            _check_stop_contract(machine, state, delta, reduce)
-    trace = ExecutionTrace(delta, plan)
-    trace._rows.append(states)
-    if all(stopped):
-        trace.stopped_round = 0
-    else:
-        _rounds(machine, plan, states, stopped, trace, max_rounds,
-                canonical, reduce)
+    # One partition is kept per reception class, for its latest input.
+    kind = machine.reception_class
+    partition = plan.partitions.get(kind)
+    if partition is None or partition.inputs != local:
+        canonical = (lambda ids: tuple(sorted(ids))) if kind == MV \
+            else frozenset
+        partition = plan.partitions[kind] = _Partition(plan, local, delta,
+                                                       canonical)
+    trace = ExecutionTrace(delta, plan, machine.emit)
+    _rounds(machine, partition, trace, max_rounds)
     return trace
 
 
-def _sorted_ids(ids) -> tuple:
-    return tuple(sorted(ids))
+def _rounds(machine, partition, trace, max_rounds):
+    """The rounds of a run, stepped per partition class.
 
-
-def _rounds(machine, plan, states, stopped, trace, max_rounds,
-            canonical, reduce):
-    """The synchronous rounds of a run, stepped per distinct value.
-
-    Distinct states and distinct messages get integer ids.  A state's id is
-    a multiple of ``delta + 1``, so ``state id + out-port`` names one
-    (state, out-port) pair and ``emit`` runs once per distinct pair in a
-    round.  ``canonical`` turns a node's padded vector of message ids into
-    a key for what it receives (a set of ids for set reception, the sorted
-    ids for multiset reception) and ``reduce`` turns the key's messages
-    into ``transition``'s argument.  A node's next state is memoised per
-    run on (state id, key), so ``transition`` runs once per distinct
-    (state, received) pair.
+    Distinct states get ids that are multiples of ``delta + 1``, so ``state
+    id + out-port`` names a (state, out-port) pair, and distinct messages
+    get ids from 0 (epsilon).  A class's next state is memoised per run on
+    (state id, its received message ids in the partition's canonical form).
     """
-    emit, transition = machine.emit, machine.transition
-    stopping = machine.stopping
-    senders, ports = plan.senders, plan.ports
-    width = trace.delta + 1
-    state_of, state_id = {}, {}
+    emit, transition, stopping = (machine.emit, machine.transition,
+                                  machine.stopping)
+    reduce = vmset_reduce if machine.reception_class == MV else vset_reduce
+    canonical, width, plan = partition.canonical, partition.width, trace._plan
+    delta = machine.delta
+    state_of, state_id, stops = {}, {}, set()
     message_of, message_id = [EPSILON], {EPSILON: 0}
 
     def identify(state):
@@ -162,68 +197,65 @@ def _rounds(machine, plan, states, stopped, trace, max_rounds,
         if sid is None:
             sid = state_id[state] = width * len(state_id)
             state_of[sid] = state
+            if stopping(state):
+                for port in range(1, delta + 1):
+                    if emit(state, port) is not EPSILON:
+                        raise MachineContractError(
+                            f"stopping state {state!r} emits a message on "
+                            f"port {port}")
+                if transition(state, reduce((EPSILON,) * delta)) != state:
+                    raise MachineContractError(
+                        f"stopping state {state!r} is not a fixed point")
+                stops.add(sid)
         return sid
 
-    sids = list(map(identify, states))
+    current = {cid: identify(machine.init(*key))
+               for cid, key in partition.rounds[0][1]}
     memo = {}
-    any_stopped = any(stopped)
-    for r in range(1, max_rounds + 1):
-        pairs = list(map(add, map(sids.__getitem__, senders), ports))
-        emitted = dict.fromkeys(pairs)
-        for pair in emitted:
-            port = pair % width
-            m = emit(state_of[pair - port], port)
-            mid = message_id.get(m)
-            if mid is None:
-                mid = message_id[m] = len(message_of)
-                message_of.append(m)
-            emitted[pair] = mid
-        flat = list(map(emitted.__getitem__, pairs))
-        delivered = list(map(message_of.__getitem__, flat))
-        if any_stopped:
-            _check_stopped_senders(plan, stopped, delivered, r)
-        flat.append(0)
-        delivered.append(EPSILON)
-        next_sids = []
-        for i, (sid, gather) in enumerate(zip(sids, plan.gathers)):
-            if stopped[i]:
-                next_sids.append(sid)
-                continue
-            key = (sid, canonical(gather(flat)))
-            hit = memo.get(key)
-            if hit is None:
-                received = reduce(map(message_of.__getitem__, key[1]))
-                new = transition(state_of[sid], received)
-                hit = memo[key] = (identify(new), stopping(new))
-            new_sid, halts = hit
-            if halts:
-                _check_stop_contract(machine, state_of[new_sid], trace.delta,
-                                     reduce)
-                stopped[i] = any_stopped = True
-            next_sids.append(new_sid)
-        sids = next_sids
-        trace._rows.append(list(map(state_of.__getitem__, sids)))
-        trace._flat.append(delivered)
-        if all(stopped):
+    for r in range(max_rounds + 1):
+        if r == len(partition.rounds):
+            partition.extend(plan)
+        row, classes, (codes, senders, ports) = partition.rounds[r]
+        if r:
+            pairs = list(map(add, map(current.__getitem__, senders), ports))
+            emitted, talked = dict.fromkeys(pairs), False
+            for pair in emitted:
+                port = pair % width
+                m = emit(state_of[pair - port], port)
+                mid = message_id.get(m)
+                if mid is None:
+                    mid = message_id[m] = len(message_of)
+                    message_of.append(m)
+                emitted[pair] = mid
+                talked = talked or (mid and pair - port in stops)
+            mid_of = dict(zip(codes, map(emitted.__getitem__, pairs)))
+            mid_of[0] = 0
+            if talked:
+                sids = list(map(current.__getitem__,
+                                partition.rounds[r - 1][0]))
+                for u, port in zip(plan.senders, plan.ports):
+                    mid = emitted[sids[u] + port]
+                    if mid and sids[u] in stops:
+                        raise MachineContractError(
+                            f"stopped node {plan.nodes[u]!r} emitted "
+                            f"{message_of[mid]!r} in round {r}")
+            nxt = {}
+            for cid, (prev, got) in classes:
+                sid = current[prev]
+                if sid not in stops:
+                    key = (sid, canonical(map(mid_of.__getitem__, got)))
+                    sid = memo.get(key)
+                    if sid is None:
+                        received = reduce(map(message_of.__getitem__, key[1]))
+                        sid = memo[key] = identify(
+                            transition(state_of[key[0]], received))
+                nxt[cid] = sid
+            current = nxt
+        held = {cid: state_of[sid] for cid, sid in current.items()}
+        trace._rows.append(list(map(held.__getitem__, row)))
+        if stops.issuperset(current.values()):
             trace.stopped_round = r
             return
-
-
-def _check_stopped_senders(plan, stopped, flat, r):
-    for u, m in zip(plan.senders, flat):
-        if stopped[u] and m is not EPSILON:
-            raise MachineContractError(
-                f"stopped node {plan.nodes[u]!r} emitted {m!r} in round {r}")
-
-
-def _check_stop_contract(machine: StateMachine, state, delta: int, reduce):
-    for port in range(1, delta + 1):
-        if machine.emit(state, port) is not EPSILON:
-            raise MachineContractError(
-                f"stopping state {state!r} emits a message on port {port}")
-    if machine.transition(state, reduce((EPSILON,) * delta)) != state:
-        raise MachineContractError(
-            f"stopping state {state!r} is not a fixed point")
 
 
 def local_outputs(trace: ExecutionTrace) -> dict:

@@ -11,7 +11,6 @@ numberings sample them independently.
 from __future__ import annotations
 
 import json
-from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .errors import DegreeBoundError, FormatError, NumberingError
@@ -240,13 +239,13 @@ class RunPlan:
     Node ``i`` is ``nodes[i]`` (``index[nodes[i]] == i``) with degree
     ``degrees[i]``.  Edge ends are laid out flat, grouped by receiver in
     node order and, per receiver, in in-port order: slot ``k`` carries what
-    ``nodes[senders[k]]`` writes on out-port ``ports[k]``.  A round's flat
-    message list holds one more entry, the epsilon pad, at index
-    ``len(senders)``; ``gathers[i]`` picks node ``i``'s padded
-    length-``delta`` vector out of that list.
+    ``nodes[senders[k]]`` writes on out-port ``ports[k]``, and ``slots[i]``
+    is the slice of node ``i``'s slots.  ``partitions`` is the executor's
+    cache of node partitions per reception class, dropped with the plan.
     """
 
-    __slots__ = ("nodes", "index", "degrees", "senders", "ports", "gathers")
+    __slots__ = ("nodes", "index", "degrees", "senders", "ports", "slots",
+                 "partitions")
 
     def __init__(self, graph: PortNumberedGraph, delta: int):
         if graph.max_degree() > delta:
@@ -263,20 +262,11 @@ class RunPlan:
             for u in sorted(in_ports, key=in_ports.__getitem__):
                 senders.append(index[u])
                 ports.append(graph._out[u][v])
-            slots.append(range(start, len(senders)))
-        pad = len(senders)
+            slots.append(slice(start, len(senders)))
         self.senders = tuple(senders)
         self.ports = tuple(ports)
-        self.gathers = tuple(
-            _getter([*own, *[pad] * (delta - len(own))]) for own in slots)
-
-
-def _getter(positions: list[int]) -> Callable[[list], tuple]:
-    """``itemgetter`` that returns a tuple for a single position too."""
-    if len(positions) == 1:
-        k = positions[0]
-        return lambda flat: (flat[k],)
-    return itemgetter(*positions)
+        self.slots = tuple(slots)
+        self.partitions: dict = {}
 
 
 def _default_node_fmt(v) -> str:

@@ -60,9 +60,10 @@ class StateMachine:
     counts sum to ``delta`` for class ``mv``; stopping states must be fixed
     points.  ``input_alphabet``, when given, is enforced by the executor.
 
-    For both classes the executor calls ``emit`` once per distinct (state,
-    port) pair in a round and ``transition`` once per distinct (state,
-    received) pair in a run, so both must be pure.
+    The executor steps a run per class of nodes with equal views: it calls
+    ``init`` once per distinct (degree, input), ``emit`` once per distinct
+    (state, port) pair in a round and ``transition`` once per distinct
+    (state, received) pair in a run, so all three must be pure.
     """
 
     name: str

@@ -81,37 +81,44 @@ def _back_label_map(view: FamilyView, v: Path) -> dict:
     return out
 
 
-def _pair_levels(view: FamilyView, horizon: int, max_pairs: int):
-    """Breadth-first levels of pair states from ((1,0)), ((2,1)).
+def find_critical_psw(d: int, max_pairs: int = DEFAULT_MAX_PAIRS
+                      ) -> tuple[int, WalkPair]:
+    """Minimal separating length in the plain tree for ``d`` plus a witness.
 
-    Yields ``(depth, level, parents)`` for depth 0..``horizon``, where
-    ``level`` lists each frontier pair with its two back-label maps and
-    ``parents`` maps every pair found so far to ``(parent pair, label)``.
-    Separating pairs are not expanded.
+    Breadth-first search over pair states from ((1,0)), ((2,1)); a state is
+    separating when the two ends' back-label sets differ (either side may
+    own the unmatched label).  A level is scanned whole before it is
+    expanded, so the length is minimal.  Aborts loudly if no separation
+    shows up by depth 2d-1, which would contradict the construction.
 
     A pair found before is not expanded again.  Nor is a pair whose two
     ``suffix_key`` values were seen at its level: the radius is the moves
     left to the horizon plus one, for the back-labels read at the last
     level, so such pairs have the same label futures up to the horizon and
-    only the first is kept.  The frontier and ``parents`` hold real pairs,
-    so witnesses stay real paths.
+    only the first is kept.  ``parents`` holds real pairs, so witnesses
+    stay real paths.
     """
+    if d < 2:
+        raise FormatError("d must be >= 2")
+    view = FamilyView("g", d)
+    horizon = 2 * d - 1
     start = (START_1, START_2)
     parents: dict[tuple, tuple] = {start: (None, None)}
     seen = set()
     frontier = [start]
     depth = 0
-    while frontier and depth <= horizon:
+    while True:
         level = [(pair, _back_label_map(view, pair[0]),
                   _back_label_map(view, pair[1])) for pair in frontier]
-        yield depth, level, parents
+        for pair, m1, m2 in level:
+            if m1.keys() != m2.keys():
+                return depth, _witness(parents, pair, m1, m2)
         if depth == horizon:
-            return  # the last level is scanned, not expanded
+            raise InternalInconsistencyError(
+                f"no separating pair within depth {horizon} for d={d}")
         left = horizon - depth
         frontier = []
         for pair, m1, m2 in level:
-            if m1.keys() != m2.keys():
-                continue
             for label in sorted(m1):
                 child = (m1[label], m2[label])
                 if child in parents:
@@ -127,31 +134,10 @@ def _pair_levels(view: FamilyView, horizon: int, max_pairs: int):
                 seen.add(key)
                 parents[child] = (pair, label)
                 frontier.append(child)
-        depth += 1
-
-
-def find_critical_psw(d: int, max_pairs: int = DEFAULT_MAX_PAIRS
-                      ) -> tuple[int, WalkPair]:
-    """Minimal separating length in the plain tree for ``d`` plus a witness.
-
-    Breadth-first search over pair states from ((1,0)), ((2,1)); a state is
-    separating when the two ends' back-label sets differ (either side may
-    own the unmatched label).  Aborts loudly if no separation shows up by
-    depth 2d-1, which would contradict the construction.
-    """
-    if d < 2:
-        raise FormatError("d must be >= 2")
-    horizon = 2 * d - 1
-    levels = _pair_levels(FamilyView("g", d), horizon, max_pairs)
-    for depth, level, parents in levels:
-        # Scan the whole level before expanding so the reported k is minimal.
-        for pair, m1, m2 in level:
-            if m1.keys() != m2.keys():
-                return depth, _witness(parents, pair, m1, m2)
-        if depth >= horizon:
+        if not frontier:
             raise InternalInconsistencyError(
-                f"no separating pair within depth {horizon} for d={d}")
-    raise InternalInconsistencyError(f"pair frontier died out for d={d}")
+                f"pair frontier died out for d={d}")
+        depth += 1
 
 
 def _witness(parents, pair, m1, m2) -> WalkPair:
@@ -264,14 +250,3 @@ def walk_pair_from_labels(d: int, labels, *, swap: bool = False) -> WalkPair:
         return WalkPair(walks[0], walks[1], tuple(labels),
                         extra[0], m1[extra[0]], swap)
     return WalkPair(walks[0], walks[1], tuple(labels), mirrored=swap)
-
-
-def separating_depths(d: int, depth_limit: int,
-                      max_pairs: int = DEFAULT_MAX_PAIRS) -> list[int]:
-    """All pair-state depths <= depth_limit at which some state separates.
-
-    Used as the re-scan audit of criticality and of the odd-parity law.
-    """
-    levels = _pair_levels(FamilyView("g", d), depth_limit, max_pairs)
-    return [depth for depth, level, _ in levels
-            if any(m1.keys() != m2.keys() for _, m1, m2 in level)]

@@ -11,7 +11,8 @@ from svmv.executor import execute, local_outputs
 from svmv.families import ROOT, build_collapsed
 from svmv.graphs import PortNumberedGraph, random_colouring, random_graph
 from svmv.machines import (AD_HOC_SV_MACHINES, EPSILON, MV, SV,
-                           StateMachine, vmset_reduce, vset_reduce)
+                           StateMachine, set_fold_hash, vmset_reduce,
+                           vset_reduce)
 from svmv.problem import output_colour, solve_pi_mv
 from svmv.simulate import multiset_echo, mv_by_sv
 from svmv.views import canonical_sv
@@ -91,6 +92,26 @@ def staggered_machine(delta):
 
     return StateMachine("staggered", delta, SV, init, emit, transition,
                         lambda s: s[0] == "halt")
+
+
+def staggered_mv_machine(delta):
+    """Multiset twin of :func:`staggered_machine`: counts the ticks heard
+    and stops once it has heard as many as its degree, one round later for
+    every silent neighbour."""
+
+    def emit(state, port):
+        return EPSILON if state[0] == "halt" else ("tick", state[1] % 2)
+
+    def transition(state, received):
+        if state[0] == "halt":
+            return state
+        heard = state[1] + delta - received[EPSILON]
+        return ("halt", heard) if heard >= state[2] else ("run", heard,
+                                                          state[2])
+
+    return StateMachine("staggered-mv", delta, MV,
+                        lambda deg, inp: ("run", 0, 2 * deg), emit,
+                        transition, lambda s: s[0] == "halt")
 
 
 def path_graph(n):
@@ -223,15 +244,23 @@ def test_execute_matches_reference_on_collapsed_tree():
 
 
 def test_execute_matches_reference_on_random_graphs():
+    # random_graph deals in-ports independently of out-ports, and machines
+    # of both reception classes stop, some nodes before others.
+    independent = False
     for seed in range(10):
         rng = random.Random(seed)
         delta = rng.randint(2, 4)
         graph = random_graph(rng, rng.randint(2, 16), delta)
+        independent |= any(graph.in_port(v, u) != graph.out_port(v, u)
+                           for u, v in graph.edges())
         colours = random_colouring(rng, graph)
         machines = _sv_machines(delta) + [mv_by_sv(solve_pi_mv(delta)),
-                                          multiset_echo(delta)]
+                                          multiset_echo(delta),
+                                          staggered_machine(delta),
+                                          staggered_mv_machine(delta)]
         for machine in machines:
             _assert_matches_reference(machine, graph, colours, 3 * delta)
+    assert independent
 
 
 def _received_key(received):
@@ -293,16 +322,18 @@ def test_stopped_node_talking_in_a_later_round_is_rejected():
 
 
 def test_graph_changes_after_a_run_reach_the_next_run():
-    # The run plan is kept per graph and degree bound; every edit must drop
-    # it, including edits that make the graph unrunnable.
-    narrow, wide = canonical_sv(2), canonical_sv(3)
+    # The run plan, with the node partitions kept on it, is kept per graph
+    # and degree bound; every edit must drop it, including edits that make
+    # the graph unrunnable.
+    narrow, wide, echo = canonical_sv(2), canonical_sv(3), multiset_echo(3)
     graph = path_graph(3)  # degrees 1, 2, 1
-    for machine in (narrow, wide):
+    for machine in (narrow, wide, echo):
         execute(machine, graph, max_rounds=1)
     graph.add_node(3)
     _assert_matches_reference(wide, graph, None, 3)
     graph.add_edge(2, 3, 2, 1)
     _assert_matches_reference(narrow, graph, None, 3)
+    _assert_matches_reference(echo, graph, None, 3)
     trace = execute(wide, graph, max_rounds=1)
     assert trace.received(1, 3) == ((2, trace.states[0][2]), EPSILON, EPSILON)
     graph.add_edge(1, 3, 3, 2)  # node 1 now has degree 3
@@ -355,8 +386,8 @@ def test_emit_runs_once_per_distinct_state_and_port():
 
 
 def test_trace_reads_agree_before_and_after_the_dicts_are_built():
-    # state() and received() read the per-round records directly; states
-    # and messages are built from the same records on first read.
+    # state() reads the per-round records directly; states and messages
+    # (which received() reads) are built from the same records once.
     graph = build_collapsed("g", 2)
     machine = canonical_sv(2)
     trace = execute(machine, graph, max_rounds=3)
@@ -371,3 +402,74 @@ def test_trace_reads_agree_before_and_after_the_dicts_are_built():
             assert trace.state(r, v) == want_states[r][v]
             if r:
                 assert trace.received(r, v) == want_messages[r - 1][v]
+
+
+def test_stop_contract_is_checked_once_per_stopping_state():
+    # Every node of the collapsed hb d=3 tree halts in round 1; the probes
+    # of the contract run once per distinct stopping state, not per node.
+    machine = solve_pi_mv(5)
+    probes = Counter()
+
+    def emit(state, port):
+        probes["emit"] += machine.stopping(state)
+        return machine.emit(state, port)
+
+    def transition(state, received):
+        probes["transition"] += machine.stopping(state)
+        return machine.transition(state, received)
+
+    graph = build_collapsed("hb", 3)
+    trace = execute(dataclasses.replace(machine, emit=emit,
+                                        transition=transition),
+                    graph, max_rounds=4)
+    assert trace.stopped_round == 1
+    halted = set(local_outputs(trace).values())
+    assert len(graph.nodes) > 10 * len(halted)
+    assert probes == {"emit": 5 * len(halted), "transition": len(halted)}
+
+
+def test_broken_stopping_state_reached_in_a_round_is_named():
+    def stops_into(emit, transition):
+        return StateMachine("stops-late", 2, SV, lambda deg, inp: "run",
+                            emit, transition, lambda s: s != "run")
+
+    talker = stops_into(lambda s, p: "tick" if s == "run" or p == 2
+                        else EPSILON, lambda s, r: "halt")
+    with pytest.raises(MachineContractError,
+                       match="^stopping state 'halt' emits a message on "
+                             "port 2$"):
+        execute(talker, path_graph(3), max_rounds=3)
+    drifter = stops_into(lambda s, p: EPSILON if s != "run" else "tick",
+                         lambda s, r: "halt" if s == "run" else s + "!")
+    with pytest.raises(MachineContractError,
+                       match="^stopping state 'halt' is not a fixed point$"):
+        execute(drifter, path_graph(3), max_rounds=3)
+
+
+def test_runs_with_different_inputs_on_one_graph_do_not_share_classes():
+    rng = random.Random(8)
+    graph = random_graph(rng, 24, 3)
+    first, second = random_colouring(rng, graph), random_colouring(rng, graph)
+    for colours in (first, second, first, None):
+        for machine in (canonical_sv(3), solve_pi_mv(3),
+                        set_fold_hash(3)):
+            if colours is None and machine.input_alphabet is not None:
+                continue
+            _assert_matches_reference(machine, graph, colours, 4)
+
+
+def test_machines_of_one_class_share_the_partition_of_a_graph():
+    graph = build_collapsed("g", 3)
+    plan = graph.run_plan(3)
+    execute(canonical_sv(3), graph, max_rounds=5)
+    partition = plan.partitions[SV]
+    rounds = list(partition.rounds)
+    assert len(rounds) == 6
+    for machine in _sv_machines(3)[1:]:
+        execute(machine, graph, max_rounds=5)
+        assert plan.partitions[SV] is partition
+    assert partition.rounds == rounds
+    assert all(a is b for a, b in zip(partition.rounds, rounds))
+    execute(multiset_echo(3), graph, max_rounds=2)
+    assert plan.partitions[SV] is partition
+    assert plan.partitions[MV] is not partition

@@ -51,6 +51,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.mark.parametrize("run, parameter, name", [
     (run_theorem1, 3, "theorem1_delta3.json"),
+    (run_theorem1, 4, "theorem1_delta4.json"),
     (run_theorem2, 3, "theorem2_d3.json"),
 ])
 def test_reports_match_golden_files(run, parameter, name):

@@ -5,8 +5,7 @@ from svmv.bisim import PointedInstance, max_bisim_radius
 from svmv.errors import FormatError, InternalInconsistencyError
 from svmv.families import FamilyView, ROOT
 from svmv.walks import (INVALID, PCW, PSW, WalkPair, find_critical_psw,
-                        separating_depths, successor, verify_psw,
-                        walk_pair_from_labels)
+                        successor, verify_psw, walk_pair_from_labels)
 
 U, W = ((1, 0),), ((2, 1),)
 
@@ -83,14 +82,6 @@ def test_corrupted_labels_detected():
     forged = WalkPair(pair.walk1, pair.walk2, (1, 2, 2),
                       pair.separating_label, pair.extension)
     assert verify_psw(forged, 3).status == INVALID
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_separating_depths_are_odd_and_start_critical(d):
-    depths = separating_depths(d, 2 * d - 1)
-    assert depths
-    assert min(depths) == 2 * d - 3
-    assert all(k % 2 == 1 for k in depths)
 
 
 @pytest.mark.parametrize("d", [3, 4])
