@@ -14,11 +14,17 @@ a materialised backend raises instead of answering from a truncated ball.
 Both queries run one recursion that returns the largest radius that holds,
 capped by a budget: ``max_bisim_radius`` descends once with budget ``cap``,
 and ``bisimilar`` asks whether radius r is reached, so it returns at the
-first neighbour without a good enough match.  A pair's memo entry is
-keyed by each point's ``suffix_key`` for the budget (the part of a node
-that fixes its ball, supplied by the backend) and holds an interval of
-radii, so pairs with isomorphic balls and all radii of one pair share an
-entry.
+first neighbour without a good enough match.
+
+The recursion runs on suffix keys, not nodes.  A backend's
+``suffix_key(v, r)`` is the part of a node that fixes its radius-r ball;
+the two points are keyed once, at the top.  From there on the backend's
+``key_edges(key, r)`` gives the neighbours as their keys for r - 1, trimmed
+to the budget of the call they are passed to, and ``key_local(key)`` the
+degree and local input.  Two equal keys of one backend hold for the whole
+budget.  A pair's memo entry is keyed by the two keys and holds an interval
+of radii, so pairs with isomorphic balls and all radii of one pair share
+an entry.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ class MaterializedView:
 
     Degrees come from the declared (pre-truncation) values; probing the
     edges of a truncated boundary node raises ``BallExhaustedError`` so a
-    short ball can never produce a wrong answer.
+    short ball can never produce a wrong answer.  An explicit graph has no
+    locality rule, so a node is its own suffix key at every radius.
     """
 
     def __init__(self, graph: PortNumberedGraph, colouring: dict | None = None):
@@ -58,8 +65,13 @@ class MaterializedView:
         return [(u, graph.out_port(u, v)) for u in graph.neighbours(v)]
 
     def suffix_key(self, v, radius: int):
-        """An explicit graph has no locality rule: a node is its own key."""
         return v
+
+    def key_edges(self, v, radius: int):
+        return self.back_edges(v)
+
+    def key_local(self, v):
+        return self.degree(v), self.local_input(v)
 
 
 @dataclass(frozen=True)
@@ -102,7 +114,8 @@ def bisimilar(a: PointedInstance, b: PointedInstance, r: int,
         raise ValueError("radius must be >= 0")
     if cache is None:
         cache = BisimCache()
-    return _radius(a.view, a.point, b.view, b.point, r, r, cache.memo) == r
+    return _radius(a.view, a.view.suffix_key(a.point, r), b.view,
+                   b.view.suffix_key(b.point, r), r, r, cache.memo) == r
 
 
 def max_bisim_radius(a: PointedInstance, b: PointedInstance, cap: int,
@@ -116,15 +129,17 @@ def max_bisim_radius(a: PointedInstance, b: PointedInstance, cap: int,
         raise ValueError("cap must be >= 0")
     if cache is None:
         cache = BisimCache()
-    got = _radius(a.view, a.point, b.view, b.point, cap, 0, cache.memo)
+    got = _radius(a.view, a.view.suffix_key(a.point, cap), b.view,
+                  b.view.suffix_key(b.point, cap), cap, 0, cache.memo)
     return None if got == cap else got
 
 
 def _radius(va, x, vb, y, budget, floor, memo) -> int:
     """``min(largest bisimilarity radius of x and y, budget)`` if that is
     at least ``floor``; otherwise some ``r < floor`` with radius r+1
-    failing.  Needs ``floor <= budget``: a capped answer below ``floor``
-    would be stored as a failure.
+    failing.  ``x`` and ``y`` are suffix keys for ``budget``.  Needs
+    ``floor <= budget``: a capped answer below ``floor`` would be stored
+    as a failure.
 
     A lower ``floor`` asks for more exactness: the top of a
     ``max_bisim_radius`` query passes 0, ``bisimilar(.., r)`` passes r and
@@ -132,7 +147,7 @@ def _radius(va, x, vb, y, budget, floor, memo) -> int:
     """
     if va is vb and x == y:
         return budget
-    key = (va, vb, va.suffix_key(x, budget), vb.suffix_key(y, budget))
+    key = (va, vb, x, y)
     held, failed = memo.get(key, _UNKNOWN)
     if held >= budget:
         return budget
@@ -140,16 +155,14 @@ def _radius(va, x, vb, y, budget, floor, memo) -> int:
         return failed - 1
     # A known failure caps the search; the answer below it is the same.
     cap = budget if failed > budget else failed - 1
-    if va.degree(x) != vb.degree(y) or va.local_input(x) != vb.local_input(y):
+    if va.key_local(x) != vb.key_local(y):
         got = -1
     elif cap == 0:
         got = 0
     else:
-        ea = va.back_edges(x)
-        eb = vb.back_edges(y)
-        got = _match(va, ea, vb, eb, cap, floor, memo, False)
+        got = _match(va, x, vb, y, cap, floor, memo, False)
         if got >= floor:
-            got = _match(vb, eb, va, ea, got, floor, memo, True)
+            got = _match(vb, y, va, x, got, floor, memo, True)
     if got >= floor:
         held = max(held, got)
         if got < cap:
@@ -160,19 +173,27 @@ def _radius(va, x, vb, y, budget, floor, memo) -> int:
     return got
 
 
-def _match(va, ea, vb, eb, cap, floor, memo, swapped) -> int:
+def _match(va, x, vb, y, cap, floor, memo, swapped) -> int:
     """Lower ``cap`` to one more than the worst neighbour's best match.
 
-    Every neighbour ``w`` in ``ea`` is matched against the equally
-    labelled neighbours in ``eb``; the search for ``w`` stops once a match
-    reaches ``cap - 1``, and the whole scan stops once ``cap`` drops below
-    ``floor`` or reaches 0, below which no neighbour can push it.
-    ``swapped`` says that ``ea`` belongs to the second point, so the
+    Every neighbour ``w`` of ``x`` is matched against the equally labelled
+    neighbours of ``y``; the search for ``w`` stops once a match reaches
+    ``cap - 1``, and the whole scan stops once ``cap`` drops below
+    ``floor`` or reaches 0, below which no neighbour can push it.  The
+    neighbours' keys are for ``cap - 1``, read again whenever ``cap``
+    drops, so a memo key is never longer than its budget needs.
+    ``swapped`` says that ``x`` belongs to the second point, so the
     recursive calls keep the argument order of the top query.
     """
-    for w, lab in ea:
-        if cap < floor or cap == 0:
-            break
+    if cap < floor or cap == 0:
+        return cap
+    ea, eb, at = va.key_edges(x, cap), vb.key_edges(y, cap), cap
+    for i in range(len(ea)):
+        if cap < at:
+            if cap < floor or cap == 0:
+                break
+            ea, eb, at = va.key_edges(x, cap), vb.key_edges(y, cap), cap
+        w, lab = ea[i]
         best = -1
         for w2, lab2 in eb:
             if lab2 != lab:

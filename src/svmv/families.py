@@ -12,9 +12,10 @@ target's colour in the coloured families).
 Trees are never materialised wholesale.  A node's neighbourhood is fixed by
 its ``suffix_key(v, 1)`` (its depth and last one or two steps), so a
 :class:`FamilyView` evaluates the rules once per such class and keeps the
-result: at most O(d^3) entries per view, which makes radius-bounded searches
-over large parameters cheap.  ``build_ball`` cuts an explicit graph, with
-generalised or collapsed labels, when an executor needs one.
+result: at most O(d^3) entries per view.  Radius-bounded searches step from
+suffix key to suffix key on that table and never build a path, which makes
+them cheap over large parameters.  ``build_ball`` cuts an explicit graph,
+with generalised or collapsed labels, when an executor needs one.
 """
 
 from __future__ import annotations
@@ -110,7 +111,10 @@ def node_colour(family: str, v: Path) -> str | None:
 
 def node_degree(family: str, v: Path, d: int) -> int:
     """Degree of ``v`` in the full (untruncated) tree."""
-    depth = len(v)
+    return _depth_degree(family, len(v), d)
+
+
+def _depth_degree(family: str, depth: int, d: int) -> int:
     if depth > 2 * d:
         raise FormatError(f"depth {depth} exceeds 2d = {2 * d}")
     if depth == 2 * d:
@@ -207,12 +211,22 @@ def family_collapse(family: str, d: int) -> PortCollapse:
 class FamilyView:
     """Lazy neighbourhood access to a full family tree.
 
-    Nothing is materialised.  ``back_edges`` reads a private table keyed on
-    ``suffix_key(v, 1)``: each entry holds the parent's label towards ``v``
-    and the children's steps with their labels towards ``v``, filled from
-    ``children`` and ``pi`` the first time its key is seen.  The rules thus
-    run once per class, and a view holds at most O(d^3) entries (g: 87 at
-    d=5, hb/hw: 766).  The table lives and dies with the view.
+    Nothing is materialised.  A node's labelled neighbours come from a
+    private table keyed on ``suffix_key(v, 1)``: each entry holds the
+    parent's label towards ``v`` and the children's steps with their labels
+    towards ``v``, filled from ``children`` and ``pi`` the first time its
+    key is seen.  The rules thus run once per class, and a view holds at
+    most O(d^3) entries (g: 87 at d=5, hb/hw: 766).  The table lives and
+    dies with the view.
+
+    The table is read at two levels.  ``back_edges(v)`` lists a node's
+    neighbours as paths.  ``key_edges(key, radius)`` lists them as their
+    suffix keys for ``radius - 1``, and ``key_local(key)`` gives the
+    degree and local input, both read off a suffix key alone; so the walk
+    search and bisimilarity step from key to key and never build a path.
+    A class the key level meets first is read through ``back_edges``, on
+    a stand-in path, so every label a key-level search sees has passed
+    through ``back_edges`` once.
 
     A view reads its collapse once: the table keeps labels with the collapse
     applied, so ``family``, ``d`` and ``collapse`` are read-only.
@@ -233,8 +247,12 @@ class FamilyView:
         # Steps a suffix key keeps beyond its radius (see suffix_key).
         self._extra_steps = 0 if family == "g" else 1
         # suffix_key(v, 1) -> (parent's label towards v or None,
-        #                      ((child step, child's label towards v), ...))
+        #                      (((child step,), its label towards v), ...))
         self._local: dict[tuple, tuple] = {}
+        # suffix_key(v, 1) -> key_edges(that key, 1), which it fixes
+        self._near: dict[tuple, list] = {}
+        self._degrees = [_depth_degree(family, depth, d)
+                         for depth in range(2 * d + 1)]
 
     @property
     def family(self) -> str:
@@ -265,7 +283,7 @@ class FamilyView:
 
     def _local_entry(self, v: Path) -> tuple:
         up = self._label(v[:-1], v) if v else None
-        return up, tuple((u[-1], self._label(u, v))
+        return up, tuple((u[-1:], self._label(u, v))
                          for u in children(self._family, v, self._d))
 
     def back_edges(self, v: Path) -> list[tuple[Path, Any]]:
@@ -277,8 +295,51 @@ class FamilyView:
             entry = self._local[key] = self._local_entry(v)
         up, down = entry
         out = [(v[:-1], up)] if v else []
-        out.extend([(v + (step,), label) for step, label in down])
+        out.extend([(v + step, label) for step, label in down])
         return out
+
+    def key_edges(self, key: tuple, radius: int) -> list[tuple[tuple, Any]]:
+        """``[(suffix_key(u, radius - 1), label) for u, label in
+        back_edges(v)]`` for every node ``v`` whose suffix key for
+        ``radius`` or more is ``key``; needs ``radius >= 1``.
+
+        The parent's key drops the last step and a child's appends its
+        step; both keep the steps a key for ``radius - 1`` keeps.  At
+        radius 1 the list depends only on ``suffix_key(v, 1)``, so it is
+        built once per table entry and shared: callers must not change it.
+        """
+        depth, steps = key
+        local = (depth, steps[-1 - self._extra_steps:])
+        if radius == 1:
+            near = self._near.get(local)
+            if near is not None:
+                return near
+        entry = self._local.get(local)
+        if entry is None:
+            # The rules read only the steps a key keeps, so None may stand
+            # in for the ones it dropped.
+            stand_in = (None,) * (depth - len(steps)) + steps
+            edges = self.back_edges(stand_in)
+            down = edges[1:] if depth else edges
+            entry = self._local[local] = (
+                edges[0][1] if depth else None,
+                tuple((u[-1:], label) for u, label in down))
+        up, down = entry
+        keep = radius - 1 + self._extra_steps
+        n = len(steps)
+        out = [((depth - 1, steps[max(n - 1 - keep, 0):n - 1]), up)] \
+            if depth else []
+        head = steps[max(n + 1 - keep, 0):] if keep else None
+        out.extend([((depth + 1, head + step if keep else ()), label)
+                    for step, label in down])
+        if radius == 1:
+            self._near[local] = out
+        return out
+
+    def key_local(self, key: tuple) -> tuple:
+        """Degree and local input of the nodes whose suffix key is ``key``."""
+        depth, steps = key
+        return self._degrees[depth], node_colour(self._family, steps)
 
     def out_label(self, u: Path, v: Path):
         return self._label(u, v)
@@ -293,7 +354,8 @@ class FamilyView:
         step, so ``radius`` steps fix the ball (the topmost node shows only
         its degree).  ``hb``/``hw`` also read the colour of the parent's
         step at even depth, and a node's own colour is its input, so they
-        keep ``radius + 1`` steps.
+        keep ``radius + 1`` steps, and ``key_edges`` trims the keys it
+        returns to the same count.
         """
         keep = radius + self._extra_steps
         return len(v), (v[-keep:] if keep else ())

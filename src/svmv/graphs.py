@@ -123,16 +123,17 @@ class PortNumberedGraph:
         """
         for v in self._order:
             for labels in (self._out[v].values(), self._in[v].values()):
-                seen = set()
                 for lab in labels:
                     if not isinstance(lab, int) or not 1 <= lab <= delta:
                         raise NumberingError(
                             f"node {v!r} carries port label {lab!r}, "
                             f"need integers in 1..{delta}")
-                    if lab in seen:
-                        raise NumberingError(
-                            f"node {v!r} reuses port label {lab!r}")
-                    seen.add(lab)
+                if len(set(labels)) != len(labels):
+                    labels = list(labels)
+                    lab = next(lab for i, lab in enumerate(labels)
+                               if lab in labels[:i])
+                    raise NumberingError(
+                        f"node {v!r} reuses port label {lab!r}")
 
     def run_plan(self, delta: int) -> "RunPlan":
         """The :class:`RunPlan` for degree bound ``delta``, built on first

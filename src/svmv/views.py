@@ -25,17 +25,28 @@ class ViewTree:
 
     ``view`` builds every view, so two structurally equal views are one
     object and the default identity ``==`` and ``hash`` are exact
-    structural equality.
+    structural equality.  ``digest``, a sha256 of the structure, is
+    computed on first read: a run fingerprints few of the views it makes.
     """
 
-    __slots__ = ("degree", "input", "round", "children", "digest")
+    __slots__ = ("degree", "input", "round", "children", "_digest")
 
-    def __init__(self, degree, input, round, children, digest):
+    def __init__(self, degree, input, round, children):
         self.degree = degree
         self.input = input
         self.round = round
         self.children = children
-        self.digest = digest
+        self._digest = None
+
+    @property
+    def digest(self) -> str:
+        got = self._digest
+        if got is None:
+            payload = ",".join(sorted(f"{label!r}:{child.digest}"
+                                      for label, child in self.children))
+            blob = f"{self.degree}|{self.input!r}|{self.round}|{payload}"
+            got = self._digest = hashlib.sha256(blob.encode()).hexdigest()
+        return got
 
     def __repr__(self):
         return f"View#{self.digest[:12]}(r={self.round})"
@@ -46,11 +57,7 @@ def view(degree, input, round, children: frozenset) -> ViewTree:
     key = (degree, input, round, children)
     got = _INTERN.get(key)
     if got is None:
-        payload = ",".join(sorted(f"{label!r}:{child.digest}"
-                                  for label, child in children))
-        blob = f"{degree}|{input!r}|{round}|{payload}"
-        digest = hashlib.sha256(blob.encode()).hexdigest()
-        got = _INTERN[key] = ViewTree(degree, input, round, children, digest)
+        got = _INTERN[key] = ViewTree(degree, input, round, children)
     return got
 
 

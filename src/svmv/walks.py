@@ -9,16 +9,17 @@ search over pair states.
 
 Per-label neighbour uniqueness in the generalised numbering makes the
 successor of a walk node a function of the back-label alone, so pair states
-need no history and the BFS visited-set is sound.  The visited set is
-quotiented further: with m moves left to the search horizon, a walk end's
+need no history.  With m moves left to the search horizon, a walk end's
 future is fixed by its ``suffix_key`` for radius m + 1 (the last level
-still reads back-labels), so of two pairs at one level with equal keys
-only the first is expanded.  Witnesses are still built from real pairs.
+still reads back-labels), so the search runs on pairs of keys and keeps
+one pair per pair of keys at each level.  It never builds a path: the
+witness is rebuilt from its label sequence by ``walk_pair_from_labels``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import FormatError, InternalInconsistencyError, ResourceLimitError
 from .families import FamilyView, Path, format_path, validate_path
@@ -71,14 +72,22 @@ def successor(view: FamilyView, v: Path, label) -> Path | None:
 def _back_label_map(view: FamilyView, v: Path) -> dict:
     """Back-label -> neighbour of ``v``; raises when a label repeats, since
     every search here relies on per-label uniqueness."""
-    edges = view.back_edges(v)
+    return _by_label(view.back_edges(v), v, format_path)
+
+
+def _by_label(edges, node, fmt) -> dict:
     out = {lab: u for u, lab in edges}
     if len(out) != len(edges):
         labels = [lab for _, lab in edges]
         raise InternalInconsistencyError(
-            f"neighbours of {format_path(v)} share back-labels {labels}; "
+            f"neighbours of {fmt(node)} share back-labels {labels}; "
             f"per-label uniqueness is violated")
     return out
+
+
+def _format_key(key) -> str:
+    depth, steps = key
+    return f"the depth-{depth} nodes ending {format_path(steps)}"
 
 
 def find_critical_psw(d: int, max_pairs: int = DEFAULT_MAX_PAIRS
@@ -91,76 +100,62 @@ def find_critical_psw(d: int, max_pairs: int = DEFAULT_MAX_PAIRS
     expanded, so the length is minimal.  Aborts loudly if no separation
     shows up by depth 2d-1, which would contradict the construction.
 
-    A pair found before is not expanded again.  Nor is a pair whose two
-    ``suffix_key`` values were seen at its level: the radius is the moves
-    left to the horizon plus one, for the back-labels read at the last
-    level, so such pairs have the same label futures up to the horizon and
-    only the first is kept.  ``parents`` holds real pairs, so witnesses
-    stay real paths.
+    A state is the pair of the ends' ``suffix_key`` values, for the moves
+    left to the horizon plus one (the back-labels read at the last level),
+    so pairs with the same label futures up to the horizon are one state
+    and each level keeps a state once.  The search steps from key to key
+    with ``FamilyView.key_edges`` and keeps, per state, its parent's index
+    and the label that led to it; the witness is rebuilt from those labels
+    by ``walk_pair_from_labels``.
     """
     if d < 2:
         raise FormatError("d must be >= 2")
     view = FamilyView("g", d)
     horizon = 2 * d - 1
-    start = (START_1, START_2)
-    parents: dict[tuple, tuple] = {start: (None, None)}
-    seen = set()
-    frontier = [start]
+    radius = horizon + 1
+    frontier = [(view.suffix_key(START_1, radius),
+                 view.suffix_key(START_2, radius))]
+    history = []  # per later level: (parent's index, label) per state
+    states = 1
     depth = 0
     while True:
-        level = [(pair, _back_label_map(view, pair[0]),
-                  _back_label_map(view, pair[1])) for pair in frontier]
-        for pair, m1, m2 in level:
+        maps = {}
+        for key in chain.from_iterable(frontier):
+            if key not in maps:
+                maps[key] = _by_label(view.key_edges(key, radius), key,
+                                      _format_key)
+        level = [(maps[x], maps[y]) for x, y in frontier]
+        for i, (m1, m2) in enumerate(level):
             if m1.keys() != m2.keys():
-                return depth, _witness(parents, pair, m1, m2)
+                labels = []
+                for back in reversed(history):
+                    i, label = back[i]
+                    labels.append(label)
+                labels.reverse()
+                return depth, walk_pair_from_labels(
+                    d, labels, swap=not m1.keys() - m2.keys())
         if depth == horizon:
             raise InternalInconsistencyError(
                 f"no separating pair within depth {horizon} for d={d}")
-        left = horizon - depth
-        frontier = []
-        for pair, m1, m2 in level:
+        found = {}  # state -> (parent's index, label), in BFS order
+        for i, (m1, m2) in enumerate(level):
             for label in sorted(m1):
                 child = (m1[label], m2[label])
-                if child in parents:
+                if child in found:
                     continue
-                key = (view.suffix_key(child[0], left),
-                       view.suffix_key(child[1], left))
-                if key in seen:
-                    continue
-                if len(parents) >= max_pairs:
+                if states >= max_pairs:
                     raise ResourceLimitError(
                         f"pair search exceeded {max_pairs} states "
                         f"(d={view.d})")
-                seen.add(key)
-                parents[child] = (pair, label)
-                frontier.append(child)
-        if not frontier:
+                found[child] = (i, label)
+                states += 1
+        if not found:
             raise InternalInconsistencyError(
                 f"pair frontier died out for d={d}")
+        frontier = list(found)
+        history.append(list(found.values()))
+        radius -= 1
         depth += 1
-
-
-def _witness(parents, pair, m1, m2) -> WalkPair:
-    chain = []
-    labels = []
-    cur = pair
-    while cur is not None:
-        chain.append(cur)
-        prev, label = parents[cur]
-        if label is not None:
-            labels.append(label)
-        cur = prev
-    chain.reverse()
-    labels.reverse()
-    walk1 = tuple(p[0] for p in chain)
-    walk2 = tuple(p[1] for p in chain)
-    extra1 = sorted(set(m1) - set(m2))
-    extra2 = sorted(set(m2) - set(m1))
-    if extra1:
-        label = extra1[0]
-        return WalkPair(walk1, walk2, tuple(labels), label, m1[label], False)
-    label = extra2[0]
-    return WalkPair(walk2, walk1, tuple(labels), label, m2[label], True)
 
 
 def verify_psw(pair: WalkPair, d: int, *,

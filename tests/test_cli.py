@@ -173,6 +173,9 @@ LAZY_GOLDEN += [
     ("bisim_g_d4_collapsed.json", ["bisim", "--family", "g", "--d", "4",
                                    "--a", "(1,0)", "--b", "(2,1)",
                                    "--radius", "8", "--collapsed"]),
+    ("bisim_g_d5_collapsed.json", ["bisim", "--family", "g", "--d", "5",
+                                   "--a", "(1,0)", "--b", "(2,1)",
+                                   "--radius", "10", "--collapsed"]),
     ("bisim_hb_d3_collapsed.json", ["bisim", "--family", "hb", "--d", "3",
                                     "--a", "(1,0,B)", "--b", "(2,1,B)",
                                     "--radius", "6", "--collapsed"]),

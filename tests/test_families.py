@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from oracles import naive_children_g, naive_children_h, rule_back_edges
 from svmv.errors import FormatError, ResourceLimitError
-from svmv.families import (FAMILIES, FamilyView, ROOT, build_ball, build_full, children,
+from svmv.executor import execute
+from svmv.families import (FAMILIES, FamilyView, ROOT, build_ball,
+                           build_collapsed, build_full, children,
                            children_g, children_h, family_collapse,
                            format_path, node_colour,
                            node_degree, parse_path, pi, validate_path)
+from svmv.views import canonical_sv
 
 
 def test_root_children_d5():
@@ -297,6 +300,49 @@ def test_back_edges_follow_the_rules_at_every_node(family, d):
             assert view.back_edges(v) == rule_back_edges(view, v), \
                 (family, d, collapse, format_path(v))
             stack.extend(children(family, v, d))
+
+
+@pytest.mark.parametrize("family,d", [("g", 2), ("g", 3), ("g", 4),
+                                      ("hb", 2), ("hb", 3),
+                                      ("hw", 2), ("hw", 3)])
+def test_key_edges_commute_with_suffix_key(family, d):
+    # The key-level view starts empty, so its table is filled from keys
+    # alone (through stand-in paths), never from a real node.
+    for collapse in (None, family_collapse(family, d)):
+        view = FamilyView(family, d, collapse)
+        keyed = FamilyView(family, d, collapse)
+        stack = [ROOT]
+        while stack:
+            v = stack.pop()
+            edges = view.back_edges(v)
+            for r in range(1, 2 * d + 1):
+                want = [(view.suffix_key(u, r - 1), label)
+                        for u, label in edges]
+                # A key kept for a larger radius trims to the same keys.
+                for kept in (r, 2 * d):
+                    assert keyed.key_edges(view.suffix_key(v, kept), r) \
+                        == want, (format_path(v), r, kept)
+                assert keyed.key_local(view.suffix_key(v, r - 1)) == \
+                    (view.degree(v), view.local_input(v))
+            stack.extend(children(family, v, d))
+
+
+@pytest.mark.parametrize("family,d", [("g", 2), ("g", 3), ("hb", 2),
+                                      ("hw", 2)])
+def test_equal_suffix_keys_hold_equal_views(family, d):
+    # Equal suffix_key(v, r) means isomorphic r-balls, so the
+    # full-information set-reception machine holds one state for them at
+    # round r.  A key one step too short merges nodes it tells apart.
+    graph = build_collapsed(family, d)
+    view = FamilyView(family, d, family_collapse(family, d))
+    trace = execute(canonical_sv(graph.max_degree()), graph,
+                    max_rounds=2 * d)
+    for r in range(2 * d + 1):
+        state_of_key = {}
+        for v in graph.nodes:
+            state = trace.state(r, v)
+            assert state_of_key.setdefault(view.suffix_key(v, r), state) \
+                == state, (format_path(v), r)
 
 
 @st.composite

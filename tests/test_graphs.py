@@ -17,6 +17,22 @@ def test_duplicate_ports_rejected_at_construction():
         graph.add_edge("a", "c", 1, 1)
 
 
+def test_runnable_check_names_a_reused_label_put_in_behind_add_edge():
+    graph = PortNumberedGraph()
+    graph.add_edge("a", "b", 1, 1)
+    graph.add_edge("b", "c", 2, 1, in_uv=3)
+    graph.require_runnable(3)
+    graph._in["b"]["c"] = 1
+    with pytest.raises(NumberingError) as exc:
+        graph.require_runnable(3)
+    assert str(exc.value) == "node 'b' reuses port label 1"
+    graph._in["b"]["c"] = 4
+    with pytest.raises(NumberingError) as exc:
+        graph.require_runnable(3)
+    assert str(exc.value) == \
+        "node 'b' carries port label 4, need integers in 1..3"
+
+
 def test_self_loops_rejected():
     graph = PortNumberedGraph()
     with pytest.raises(NumberingError):
