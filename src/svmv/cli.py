@@ -14,8 +14,8 @@ import sys
 
 from .bisim import PointedInstance, bisimilar, max_bisim_radius
 from .errors import FormatError, ResourceLimitError, SvmvError
-from .families import (FamilyView, build_ball, family_collapse, format_path,
-                       parse_path, validate_path)
+from .families import (FamilyView, build_ball, build_full, family_collapse,
+                       format_path, parse_path, validate_path)
 from .graphs import PortNumberedGraph
 from .problem import check_pi, solve_pi_mv
 from .reproduce import rows_to_csv, run_reproduction
@@ -76,7 +76,7 @@ def cmd_psw(args) -> int:
     _write_json(args.out, payload)
     if args.format == "dot":
         marked = set(witness.walk1) | set(witness.walk2)
-        ball = build_ball("g", args.d, (), 2 * args.d)
+        ball = build_full("g", args.d)
         _write_text((args.out or "psw") + ".dot",
                     ball.to_dot(node_fmt=format_path, highlight=marked))
     return EXIT_OK
@@ -227,6 +227,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print(f"resource cap: {args.command} ran out of memory",
+              file=sys.stderr)
         return EXIT_RESOURCE
     except (FormatError, OSError, ValueError) as exc:
         # Bad values, unreadable files and malformed JSON (a ValueError).

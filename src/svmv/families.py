@@ -10,12 +10,13 @@ child is ``b1`` and the child's label back is ``b2`` (colour-tagged with the
 target's colour in the coloured families).
 
 Trees are never materialised wholesale.  A node's neighbourhood is fixed by
-its ``suffix_key(v, 1)`` (its depth and last one or two steps), so a
-:class:`FamilyView` evaluates the rules once per such class and keeps the
-result: at most O(d^3) entries per view.  Radius-bounded searches step from
-suffix key to suffix key on that table and never build a path, which makes
-them cheap over large parameters.  ``build_ball`` cuts an explicit graph,
-with generalised or collapsed labels, when an executor needs one.
+its ``suffix_key(v, 1)`` (its depth, its last step and, in ``hb``/``hw``,
+the colour of the step before), so a :class:`FamilyView` evaluates the
+rules once per such class and keeps the result: at most O(d^3) entries per
+view.  Radius-bounded searches step from suffix key to suffix key on that
+table and never build a path, which makes them cheap over large
+parameters.  ``build_ball`` cuts an explicit graph, with generalised or
+collapsed labels, when an executor needs one.
 """
 
 from __future__ import annotations
@@ -100,6 +101,17 @@ def children(family: str, v: Path, d: int) -> list[Path]:
     if family in ("hb", "hw"):
         return children_h(v, d, family)
     raise FormatError(f"unknown family {family!r}")
+
+
+def full_tree_size(family: str, d: int) -> int:
+    """Node count of the whole tree: the root has as many children as its
+    degree, every other inner node one fewer.  ``g``: 1 + d * sum over
+    k < 2d of (d-1)^k, which is 13,121 at d=4."""
+    total = level = 1
+    for depth in range(2 * d):
+        level *= _depth_degree(family, depth, d) - (depth > 0)
+        total += level
+    return total
 
 
 def node_colour(family: str, v: Path) -> str | None:
@@ -216,7 +228,7 @@ class FamilyView:
     parent's label towards ``v`` and the children's steps with their labels
     towards ``v``, filled from ``children`` and ``pi`` the first time its
     key is seen.  The rules thus run once per class, and a view holds at
-    most O(d^3) entries (g: 87 at d=5, hb/hw: 766).  The table lives and
+    most O(d^3) entries (g: 87 at d=5, hb/hw: 172).  The table lives and
     dies with the view.
 
     The table is read at two levels.  ``back_edges(v)`` lists a node's
@@ -244,8 +256,6 @@ class FamilyView:
         self._family = family
         self._d = d
         self._collapse = collapse
-        # Steps a suffix key keeps beyond its radius (see suffix_key).
-        self._extra_steps = 0 if family == "g" else 1
         # suffix_key(v, 1) -> (parent's label towards v or None,
         #                      (((child step,), its label towards v), ...))
         self._local: dict[tuple, tuple] = {}
@@ -304,12 +314,13 @@ class FamilyView:
         ``radius`` or more is ``key``; needs ``radius >= 1``.
 
         The parent's key drops the last step and a child's appends its
-        step; both keep the steps a key for ``radius - 1`` keeps.  At
-        radius 1 the list depends only on ``suffix_key(v, 1)``, so it is
-        built once per table entry and shared: callers must not change it.
+        step; ``_trim`` cuts both, and the table key, as ``suffix_key``
+        cuts a path.  At radius 1 the list depends only on
+        ``suffix_key(v, 1)``, so it is built once per table entry and
+        shared: callers must not change it.
         """
         depth, steps = key
-        local = (depth, steps[-1 - self._extra_steps:])
+        local = (depth, self._trim(steps, 1))
         if radius == 1:
             near = self._near.get(local)
             if near is not None:
@@ -325,13 +336,17 @@ class FamilyView:
                 edges[0][1] if depth else None,
                 tuple((u[-1:], label) for u, label in down))
         up, down = entry
-        keep = radius - 1 + self._extra_steps
-        n = len(steps)
-        out = [((depth - 1, steps[max(n - 1 - keep, 0):n - 1]), up)] \
+        out = [((depth - 1, self._trim(steps[:-1], radius - 1)), up)] \
             if depth else []
-        head = steps[max(n + 1 - keep, 0):] if keep else None
-        out.extend([((depth + 1, head + step if keep else ()), label)
-                    for step, label in down])
+        if radius == 1:
+            out.extend([((depth + 1, self._trim(step, 0)), label)
+                        for step, label in down])
+        else:
+            # A child's key for radius - 1 is the parent's for radius - 2
+            # and the child's step.
+            head = self._trim(steps, radius - 2)
+            out.extend([((depth + 1, head + step), label)
+                        for step, label in down])
         if radius == 1:
             self._near[local] = out
         return out
@@ -352,13 +367,29 @@ class FamilyView:
         labels on the edges between those nodes.  The key is the depth and
         the last steps.  In ``g`` the rules read a node's depth and last
         step, so ``radius`` steps fix the ball (the topmost node shows only
-        its degree).  ``hb``/``hw`` also read the colour of the parent's
-        step at even depth, and a node's own colour is its input, so they
-        keep ``radius + 1`` steps, and ``key_edges`` trims the keys it
-        returns to the same count.
+        its degree).
+
+        ``hb``/``hw`` keep the last ``radius`` steps plus the colour of the
+        step before them, written ``(None, None, colour)``.  That step
+        makes the ancestor at distance ``radius``, which the ball shows
+        only through its degree (fixed by the depth) and its input, that
+        colour.  Its ports label the edge to its parent, outside the ball.
+        The one rule that reads further back, the even-depth rule at the
+        ancestor's child (distance ``radius - 1``), reads the grandparent
+        colour: the same colour.  The labels towards the ancestor's child
+        carry the child's colour or the ancestor's, both kept.
         """
-        keep = radius + self._extra_steps
-        return len(v), (v[-keep:] if keep else ())
+        return len(v), self._trim(v, radius)
+
+    def _trim(self, steps: tuple, radius: int) -> tuple:
+        """The steps a suffix key for ``radius`` keeps of ``steps``, the
+        last steps of a node's path or of a key for a larger radius."""
+        n = len(steps)
+        if n <= radius:
+            return steps
+        if self._family == "g":
+            return steps[n - radius:]
+        return ((None, None, steps[n - radius - 1][2]),) + steps[n - radius:]
 
 
 # -- materialisation --------------------------------------------------------
@@ -372,11 +403,18 @@ def build_ball(family: str, d: int, center: Path, radius: int,
     Generalised ports, or with ``collapse`` the collapsed ones, and (for
     coloured families) the colouring are attached.  Every node's full-tree
     degree is recorded in ``true_degree`` so consumers can detect boundary
-    truncation.
+    truncation.  A ball that is the whole tree and would pass
+    ``max_nodes`` is refused from its closed-form size before a node is
+    built.
     """
     if radius < 0:
         raise FormatError("radius must be >= 0")
     validate_path(family, center, d)
+    if not center and radius >= 2 * d and \
+            full_tree_size(family, d) > max_nodes:
+        raise ResourceLimitError(
+            f"ball exceeds {max_nodes} nodes "
+            f"(family={family}, d={d}, radius={radius})")
     lazy = FamilyView(family, d, collapse)
     graph = PortNumberedGraph()
     graph.add_node(center, node_colour(family, center))

@@ -5,15 +5,18 @@ walks in lockstep so that the label each new node writes back towards the
 previous one agrees across the walks.  Walks may revisit nodes.  A pair
 separates when one end has a neighbour whose back-label the other end
 cannot match; the shortest separating length is found by breadth-first
-search over pair states.
+search over pair states, with its horizon deepened one step at a time.
 
 Per-label neighbour uniqueness in the generalised numbering makes the
 successor of a walk node a function of the back-label alone, so pair states
 need no history.  With m moves left to the search horizon, a walk end's
 future is fixed by its ``suffix_key`` for radius m + 1 (the last level
 still reads back-labels), so the search runs on pairs of keys and keeps
-one pair per pair of keys at each level.  It never builds a path: the
-witness is rebuilt from its label sequence by ``walk_pair_from_labels``.
+one pair per pair of keys at each level.  Deepening the horizon keeps
+these keys as short as the answer allows: the pass that finds the
+separating length 2d-3 keys its states for 2d-3 moves, not for the
+construction's bound 2d-1.  It never builds a path: the witness is
+rebuilt from its label sequence by ``walk_pair_from_labels``.
 """
 
 from __future__ import annotations
@@ -97,65 +100,69 @@ def find_critical_psw(d: int, max_pairs: int = DEFAULT_MAX_PAIRS
     Breadth-first search over pair states from ((1,0)), ((2,1)); a state is
     separating when the two ends' back-label sets differ (either side may
     own the unmatched label).  A level is scanned whole before it is
-    expanded, so the length is minimal.  Aborts loudly if no separation
-    shows up by depth 2d-1, which would contradict the construction.
+    expanded, so the length is minimal.
 
-    A state is the pair of the ends' ``suffix_key`` values, for the moves
-    left to the horizon plus one (the back-labels read at the last level),
-    so pairs with the same label futures up to the horizon are one state
-    and each level keeps a state once.  The search steps from key to key
-    with ``FamilyView.key_edges`` and keeps, per state, its parent's index
-    and the label that led to it; the witness is rebuilt from those labels
-    by ``walk_pair_from_labels``.
+    The search deepens its horizon h = 1, 2, ... up to 2d-1 (Korf 1985).
+    Each pass is a complete search to depth h, so the first pass that
+    separates finds the minimal length; aborts loudly if the pass for
+    2d-1 finds nothing, which would contradict the construction.  A
+    level-j state is the pair of the ends' ``suffix_key`` values for
+    radius h - j + 1, the moves left plus the back-labels read at the last
+    level, so pairs with the same label futures within the horizon are one
+    state and each level keeps a state once.  The search steps from key to
+    key with ``FamilyView.key_edges`` and keeps, per state, its parent's
+    index and the label that led to it; the witness is rebuilt from those
+    labels by ``walk_pair_from_labels``.  ``max_pairs`` caps the states of
+    all passes together: 525 at d=4 and 4,067 at d=5.
     """
     if d < 2:
         raise FormatError("d must be >= 2")
     view = FamilyView("g", d)
-    horizon = 2 * d - 1
-    radius = horizon + 1
-    frontier = [(view.suffix_key(START_1, radius),
-                 view.suffix_key(START_2, radius))]
-    history = []  # per later level: (parent's index, label) per state
-    states = 1
-    depth = 0
-    while True:
-        maps = {}
-        for key in chain.from_iterable(frontier):
-            if key not in maps:
-                maps[key] = _by_label(view.key_edges(key, radius), key,
-                                      _format_key)
-        level = [(maps[x], maps[y]) for x, y in frontier]
-        for i, (m1, m2) in enumerate(level):
-            if m1.keys() != m2.keys():
-                labels = []
-                for back in reversed(history):
-                    i, label = back[i]
-                    labels.append(label)
-                labels.reverse()
-                return depth, walk_pair_from_labels(
-                    d, labels, swap=not m1.keys() - m2.keys())
-        if depth == horizon:
-            raise InternalInconsistencyError(
-                f"no separating pair within depth {horizon} for d={d}")
-        found = {}  # state -> (parent's index, label), in BFS order
-        for i, (m1, m2) in enumerate(level):
-            for label in sorted(m1):
-                child = (m1[label], m2[label])
-                if child in found:
-                    continue
-                if states >= max_pairs:
-                    raise ResourceLimitError(
-                        f"pair search exceeded {max_pairs} states "
-                        f"(d={view.d})")
-                found[child] = (i, label)
-                states += 1
-        if not found:
-            raise InternalInconsistencyError(
-                f"pair frontier died out for d={d}")
-        frontier = list(found)
-        history.append(list(found.values()))
-        radius -= 1
-        depth += 1
+    states = 0
+    for horizon in range(1, 2 * d):
+        radius = horizon + 1
+        frontier = [(view.suffix_key(START_1, radius),
+                     view.suffix_key(START_2, radius))]
+        history = []  # per later level: (parent's index, label) per state
+        states += 1
+        for depth in range(horizon + 1):
+            maps = {}
+            for key in chain.from_iterable(frontier):
+                if key not in maps:
+                    maps[key] = _by_label(view.key_edges(key, radius), key,
+                                          _format_key)
+            level = [(maps[x], maps[y]) for x, y in frontier]
+            for i, (m1, m2) in enumerate(level):
+                if m1.keys() != m2.keys():
+                    labels = []
+                    for back in reversed(history):
+                        i, label = back[i]
+                        labels.append(label)
+                    labels.reverse()
+                    return depth, walk_pair_from_labels(
+                        d, labels, swap=not m1.keys() - m2.keys())
+            if depth == horizon:
+                break  # no separation within this horizon: deepen
+            found = {}  # state -> (parent's index, label), in BFS order
+            for i, (m1, m2) in enumerate(level):
+                for label in sorted(m1):
+                    child = (m1[label], m2[label])
+                    if child in found:
+                        continue
+                    if states >= max_pairs:
+                        raise ResourceLimitError(
+                            f"pair search exceeded {max_pairs} states "
+                            f"(d={view.d})")
+                    found[child] = (i, label)
+                    states += 1
+            if not found:
+                raise InternalInconsistencyError(
+                    f"pair frontier died out for d={d}")
+            frontier = list(found)
+            history.append(list(found.values()))
+            radius -= 1
+    raise InternalInconsistencyError(
+        f"no separating pair within depth {2 * d - 1} for d={d}")
 
 
 def verify_psw(pair: WalkPair, d: int, *,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import svmv
 from svmv.cli import main
+from svmv.graphs import PortNumberedGraph
 
 # Directory holding the svmv this process imported; child processes put it
 # first on PYTHONPATH, since a relative entry would resolve against their cwd.
@@ -59,6 +60,44 @@ def test_psw_json(tmp_path):
     assert doc["verified"] == "psw"
     assert doc["walk1"][0] == "(1,0)"
     assert doc["walk2"][0] == "(2,1)"
+
+
+def test_psw_dot_beyond_the_node_cap_is_refused_before_building(
+        tmp_path, monkeypatch, capsys):
+    # The whole g tree has 1,186,381 nodes at d=5, past the 500,000 cap:
+    # the closed-form size refuses it before the first node, after the
+    # JSON is written.  At d=3 (190 nodes) the same patch sees every node.
+    add_node = PortNumberedGraph.add_node
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        return add_node(self, *args, **kwargs)
+
+    monkeypatch.setattr(PortNumberedGraph, "add_node", counted)
+    small = tmp_path / "psw3"
+    assert main(["psw", "--d", "3", "--format", "dot",
+                 "--out", str(small)]) == 0
+    assert len(set(built)) == 190
+    built.clear()
+    big = tmp_path / "psw5"
+    assert main(["psw", "--d", "5", "--format", "dot",
+                 "--out", str(big)]) == 3
+    assert built == []
+    assert json.loads(big.read_text())["k"] == 7
+    assert not (tmp_path / "psw5.dot").exists()
+    assert capsys.readouterr().err.startswith("resource cap: ")
+
+
+def test_memory_error_is_a_resource_cap(monkeypatch, capsys):
+    def exhausted(d, max_pairs):
+        raise MemoryError
+
+    monkeypatch.setattr("svmv.cli.find_critical_psw", exhausted)
+    assert main(["psw", "--d", "7"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ")
+    assert err.count("\n") == 1
 
 
 def test_bisim_json(tmp_path):
@@ -256,7 +295,7 @@ def test_input_outside_the_model_is_usage_error(tmp_path, args):
 
 def test_reproduce_beyond_the_psw_cap_is_refused_before_searching(tmp_path):
     start = time.perf_counter()
-    result = _run_cli(["reproduce", "--seed", "0", "--d-max", "7"],
+    result = _run_cli(["reproduce", "--seed", "0", "--d-max", "8"],
                       cwd=tmp_path, hash_seed="0")
     assert time.perf_counter() - start < 10
     assert result.returncode == 3, result.stderr
@@ -288,7 +327,7 @@ ARGV_SPACE = {
     "check-pi": {"--graph": FILES, "--candidate": FILES},
     # A valid reproduce takes seconds and has its own tests above; the fuzz
     # draws only --d-max values that the command must refuse.
-    "reproduce": {"--seed": NUMBERS, "--d-max": ["-1", "0", "1", "7", "x"]},
+    "reproduce": {"--seed": NUMBERS, "--d-max": ["-1", "0", "1", "8", "x"]},
 }
 
 

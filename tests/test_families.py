@@ -10,7 +10,7 @@ from svmv.executor import execute
 from svmv.families import (FAMILIES, FamilyView, ROOT, build_ball,
                            build_collapsed, build_full, children,
                            children_g, children_h, family_collapse,
-                           format_path, node_colour,
+                           format_path, full_tree_size, node_colour,
                            node_degree, parse_path, pi, validate_path)
 from svmv.views import canonical_sv
 
@@ -122,6 +122,20 @@ def test_full_small_tree_node_count():
     assert len(graph.nodes) == 9
     assert sorted(graph.degree(v) for v in graph.nodes).count(1) == 2
     assert graph.max_degree() == 2
+
+
+@pytest.mark.parametrize("family,d", [("g", 2), ("g", 3), ("g", 4),
+                                      ("hb", 2), ("hb", 3),
+                                      ("hw", 2), ("hw", 3)])
+def test_full_tree_size_counts_the_built_tree(family, d):
+    assert full_tree_size(family, d) == len(build_full(family, d).nodes)
+
+
+def test_full_tree_size_closed_form_for_g():
+    for d in range(2, 8):
+        assert full_tree_size("g", d) == \
+            1 + d * sum((d - 1) ** k for k in range(2 * d))
+    assert full_tree_size("g", 4) == 13_121
 
 
 def test_radius_zero_ball_records_true_degree():
@@ -328,7 +342,7 @@ def test_key_edges_commute_with_suffix_key(family, d):
 
 
 @pytest.mark.parametrize("family,d", [("g", 2), ("g", 3), ("hb", 2),
-                                      ("hw", 2)])
+                                      ("hb", 3), ("hw", 2), ("hw", 3)])
 def test_equal_suffix_keys_hold_equal_views(family, d):
     # Equal suffix_key(v, r) means isomorphic r-balls, so the
     # full-information set-reception machine holds one state for them at
@@ -343,6 +357,28 @@ def test_equal_suffix_keys_hold_equal_views(family, d):
             state = trace.state(r, v)
             assert state_of_key.setdefault(view.suffix_key(v, r), state) \
                 == state, (format_path(v), r)
+
+
+@pytest.mark.parametrize("family", ["hb", "hw"])
+def test_keys_apart_in_their_oldest_colour_hold_different_views(family):
+    # An hb/hw key keeps its oldest step by colour alone.  Nodes whose keys
+    # differ only in that colour differ in the input of a node r moves
+    # away.  Set reception does not see every such difference, but at each
+    # radius below 2d it tells some such nodes apart at round r, so a key
+    # without that colour would merge views.
+    d = 3
+    graph = build_collapsed(family, d)
+    view = FamilyView(family, d, family_collapse(family, d))
+    trace = execute(canonical_sv(graph.max_degree()), graph,
+                    max_rounds=2 * d)
+    for r in range(2 * d):
+        by_rest = {}
+        for v in graph.nodes:
+            depth, steps = view.suffix_key(v, r)
+            if len(steps) > r:
+                by_rest.setdefault((depth, steps[1:]), []).append(v)
+        assert any(len({trace.state(r, v) for v in nodes}) > 1
+                   for nodes in by_rest.values()), r
 
 
 @st.composite

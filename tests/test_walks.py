@@ -2,7 +2,8 @@ import pytest
 
 from oracles import brute_critical_length
 from svmv.bisim import PointedInstance, max_bisim_radius
-from svmv.errors import FormatError, InternalInconsistencyError
+from svmv.errors import (FormatError, InternalInconsistencyError,
+                         ResourceLimitError)
 from svmv.families import FamilyView, ROOT
 from svmv.walks import (INVALID, PCW, PSW, WalkPair, find_critical_psw,
                         successor, verify_psw, walk_pair_from_labels)
@@ -119,3 +120,34 @@ def test_duplicate_back_label_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(FamilyView, "back_edges", repeated)
     with pytest.raises(InternalInconsistencyError):
         find_critical_psw(3)
+
+
+@pytest.mark.parametrize("d,total", [(4, 525), (5, 4067)])
+def test_max_pairs_caps_the_states_of_all_horizons(d, total):
+    # The totals in find_critical_psw's docstring, summed over its passes.
+    assert find_critical_psw(d, max_pairs=total)[0] == 2 * d - 3
+    with pytest.raises(ResourceLimitError):
+        find_critical_psw(d, max_pairs=total - 1)
+
+
+def test_an_unseparable_pair_is_searched_to_every_horizon(monkeypatch):
+    # Numbering each node's neighbours 0, 1, ... in table order keeps the
+    # two walks at one depth, so they never separate: every horizon up to
+    # the bound 2d-1 is searched, each pass keyed one move past it.
+    key_edges, suffix_key = FamilyView.key_edges, FamilyView.suffix_key
+    radii = []
+
+    def positional(self, key, radius):
+        return [(u, i) for i, (u, _) in
+                enumerate(key_edges(self, key, radius))]
+
+    def recorded(self, v, radius):
+        if radius > 1:  # not the table lookups of back_edges
+            radii.append(radius)
+        return suffix_key(self, v, radius)
+
+    monkeypatch.setattr(FamilyView, "key_edges", positional)
+    monkeypatch.setattr(FamilyView, "suffix_key", recorded)
+    with pytest.raises(InternalInconsistencyError, match="within depth 5"):
+        find_critical_psw(3)
+    assert radii == [h + 1 for h in range(1, 6) for _ in range(2)]
