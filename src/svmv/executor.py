@@ -21,8 +21,10 @@ result shared by every node it covers.  ``init``, ``emit`` and
 ``transition`` must therefore be pure functions, and states and messages
 must be hashable.
 
-A trace keeps each round's states in node order; the delivered messages
-are rebuilt from them and the machine's ``emit`` when first read.
+A trace keeps, per round, the partition's row of node classes (shared,
+not copied) and the state of each class; per-node states, and the
+delivered messages through the machine's ``emit``, are rebuilt from them
+when first read.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ class ExecutionTrace:
     ``stopped_round`` is the first round in which every node is stopping, or
     None if ``max_rounds`` ran out first.
 
-    The run records each round's states in node order; ``states``,
-    ``messages`` and :meth:`received` are rebuilt from them on read.
+    The run records each round as the partition's row of node classes
+    and the state of each class; ``states``, ``messages`` and
+    :meth:`received` are rebuilt from them on read.
     """
 
     def __init__(self, delta: int, plan: RunPlan, emit):
@@ -55,18 +58,25 @@ class ExecutionTrace:
         self.stopped_round: int | None = None
         self._plan = plan
         self._emit = emit
-        self._rows: list[list] = []
+        self._rows: list[tuple[list, dict]] = []
+
+    def _node_states(self, r: int) -> list:
+        """The states of round ``r`` in node order."""
+        row, held = self._rows[r]
+        return list(map(held.__getitem__, row))
 
     @cached_property
     def states(self) -> list[dict[Any, Any]]:
-        return [dict(zip(self._plan.nodes, row)) for row in self._rows]
+        return [dict(zip(self._plan.nodes, self._node_states(r)))
+                for r in range(len(self._rows))]
 
     @cached_property
     def messages(self) -> list[dict[Any, tuple]]:
         plan, emit = self._plan, cache(self._emit)  # emit is pure
         pads = [(EPSILON,) * (self.delta - degree) for degree in plan.degrees]
         out = []
-        for row in self._rows[:-1]:
+        for r in range(len(self._rows) - 1):
+            row = self._node_states(r)
             flat = tuple(map(emit, map(row.__getitem__, plan.senders),
                              plan.ports))
             out.append(dict(zip(plan.nodes, map(add, map(flat.__getitem__,
@@ -77,10 +87,9 @@ class ExecutionTrace:
         return len(self._rows) - 1
 
     def state(self, r: int, v):
-        if r < len(self._rows):
-            return self._rows[r][self._plan.index[v]]
-        if self.stopped_round is not None:
-            return self._rows[-1][self._plan.index[v]]
+        if r < len(self._rows) or self.stopped_round is not None:
+            row, held = self._rows[min(r, len(self._rows) - 1)]
+            return held[row[self._plan.index[v]]]
         raise IndexError(f"round {r} not recorded and the run did not halt")
 
     def received(self, r: int, v) -> tuple:
@@ -251,8 +260,8 @@ def _rounds(machine, partition, trace, max_rounds):
                             transition(state_of[key[0]], received))
                 nxt[cid] = sid
             current = nxt
-        held = {cid: state_of[sid] for cid, sid in current.items()}
-        trace._rows.append(list(map(held.__getitem__, row)))
+        trace._rows.append(
+            (row, {cid: state_of[sid] for cid, sid in current.items()}))
         if stops.issuperset(current.values()):
             trace.stopped_round = r
             return
@@ -266,4 +275,5 @@ def local_outputs(trace: ExecutionTrace) -> dict:
     """
     if trace.stopped_round is None:
         raise DidNotHaltError("did not halt: no global stopping round")
-    return dict(zip(trace._plan.nodes, trace._rows[trace.stopped_round]))
+    return dict(zip(trace._plan.nodes,
+                    trace._node_states(trace.stopped_round)))

@@ -27,7 +27,9 @@ def run_theorem1(delta: int) -> dict:
     On the collapsed plain tree both children write out-port 1 towards the
     root, so their messages coincide exactly as long as their states do.
     The report records equality per round for the full-information machine
-    (and a few ad-hoc set-reception machines) up to round 2*delta - 1.
+    (and a few ad-hoc set-reception machines) up to round 2*delta - 1.  The
+    message of round ``r`` is emitted from the states of round ``r - 1``,
+    so each run executes 2*delta - 2 rounds.
     """
     if delta < 2:
         raise FormatError(f"delta must be >= 2 (got {delta})")
@@ -41,7 +43,7 @@ def run_theorem1(delta: int) -> dict:
     port_w = graph.out_port(NODE_W, ROOT)
 
     def message_rows(machine):
-        trace = execute(machine, graph, max_rounds=horizon)
+        trace = execute(machine, graph, max_rounds=horizon - 1)
         rows = []
         for r in range(1, horizon + 1):
             mu = machine.emit(trace.state(r - 1, NODE_U), port_u)

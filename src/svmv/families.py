@@ -103,15 +103,36 @@ def children(family: str, v: Path, d: int) -> list[Path]:
     raise FormatError(f"unknown family {family!r}")
 
 
+def ball_size(family: str, d: int, depth: int, radius: int) -> int:
+    """Node count of the ball of ``radius`` around any node at ``depth``.
+
+    A node at depth ``s`` has ``c(s)`` children: its degree at the root,
+    one fewer below, none at depth 2d.  The nodes at most ``b`` steps down
+    from it number ``down(s, b) = 1 + c(s) * down(s + 1, b - 1)``.  The ball
+    is the centre's ``down(depth, radius)`` plus, for the ancestor ``j``
+    steps up (j <= min(depth, radius)), that ancestor and its other
+    ``c(depth - j) - 1`` children's ``down(depth - j + 1, radius - j - 1)``.
+    """
+    kids = [_depth_degree(family, s, d) - (s > 0) for s in range(2 * d + 1)]
+
+    def down(s, b):
+        if b < 0:
+            return 0
+        total = level = 1
+        for k in range(s, min(s + b, 2 * d)):
+            level *= kids[k]
+            total += level
+        return total
+
+    return down(depth, radius) + sum(
+        1 + (kids[depth - j] - 1) * down(depth - j + 1, radius - j - 1)
+        for j in range(1, min(depth, radius) + 1))
+
+
 def full_tree_size(family: str, d: int) -> int:
-    """Node count of the whole tree: the root has as many children as its
-    degree, every other inner node one fewer.  ``g``: 1 + d * sum over
-    k < 2d of (d-1)^k, which is 13,121 at d=4."""
-    total = level = 1
-    for depth in range(2 * d):
-        level *= _depth_degree(family, depth, d) - (depth > 0)
-        total += level
-    return total
+    """Node count of the whole tree, the root's ball of radius 2d.  ``g``:
+    1 + d * sum over k < 2d of (d-1)^k, which is 13,121 at d=4."""
+    return ball_size(family, d, 0, 2 * d)
 
 
 def node_colour(family: str, v: Path) -> str | None:
@@ -403,15 +424,13 @@ def build_ball(family: str, d: int, center: Path, radius: int,
     Generalised ports, or with ``collapse`` the collapsed ones, and (for
     coloured families) the colouring are attached.  Every node's full-tree
     degree is recorded in ``true_degree`` so consumers can detect boundary
-    truncation.  A ball that is the whole tree and would pass
-    ``max_nodes`` is refused from its closed-form size before a node is
-    built.
+    truncation.  A ball that would pass ``max_nodes`` is refused from its
+    exact size, :func:`ball_size`, before a node is built.
     """
     if radius < 0:
         raise FormatError("radius must be >= 0")
     validate_path(family, center, d)
-    if not center and radius >= 2 * d and \
-            full_tree_size(family, d) > max_nodes:
+    if ball_size(family, d, len(center), radius) > max_nodes:
         raise ResourceLimitError(
             f"ball exceeds {max_nodes} nodes "
             f"(family={family}, d={d}, radius={radius})")
@@ -430,10 +449,6 @@ def build_ball(family: str, d: int, center: Path, radius: int,
             # v's BFS parent, whose edge to v already exists.
             if u in seen:
                 continue
-            if len(seen) >= max_nodes:
-                raise ResourceLimitError(
-                    f"ball exceeds {max_nodes} nodes "
-                    f"(family={family}, d={d}, radius={radius})")
             seen.add(u)
             graph.add_node(u, node_colour(family, u))
             graph.true_degree[u] = lazy.degree(u)

@@ -5,7 +5,9 @@ towards ``v``; ``in_port(u, v)`` is the label under which that end is
 addressed when ``u`` receives.  Set- and multiset-reception machines never
 observe in-ports; they are materialised for export and for ordering trace
 slots.  In the tree families both labels of an edge end coincide; random
-numberings sample them independently.
+numberings sample them independently.  A node's in-labels share one dict
+with its out-labels until an in-label differs from its out-label, so a
+tree holds one label dict per node.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ class PortNumberedGraph:
     def add_node(self, v, colour: str | None = None):
         if v not in self._out:
             self._plans.clear()
-            self._out[v] = {}
-            self._in[v] = {}
+            self._out[v] = self._in[v] = {}
             self._order.append(v)
         if colour is not None:
             self.colours[v] = colour
@@ -68,10 +69,12 @@ class PortNumberedGraph:
         if in_vu in self._in[v].values():
             raise NumberingError(f"node {v!r} reuses in-port {in_vu!r}")
         self._plans.clear()
-        self._out[u][v] = out_uv
-        self._out[v][u] = out_vu
-        self._in[u][v] = in_uv
-        self._in[v][u] = in_vu
+        for a, b, out_ab, in_ab in ((u, v, out_uv, in_uv),
+                                    (v, u, out_vu, in_vu)):
+            self._out[a][b] = out_ab
+            if in_ab != out_ab and self._in[a] is self._out[a]:
+                self._in[a] = dict(self._out[a])
+            self._in[a][b] = in_ab
         self._edges.append((u, v))
 
     # -- access -----------------------------------------------------------

@@ -89,6 +89,32 @@ def test_psw_dot_beyond_the_node_cap_is_refused_before_building(
     assert capsys.readouterr().err.startswith("resource cap: ")
 
 
+def test_build_beyond_the_node_cap_is_refused_before_building(
+        tmp_path, monkeypatch, capsys):
+    # The g d=6 radius-11 ball around the root has 73,242,187 nodes and
+    # the radius-3 ball around a depth-2 node of g d=3 has 22: past the
+    # cap, each is refused from its exact size before the first node.
+    add_node = PortNumberedGraph.add_node
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        return add_node(self, *args, **kwargs)
+
+    monkeypatch.setattr(PortNumberedGraph, "add_node", counted)
+    out = str(tmp_path / "ball")
+    assert main(["build", "--family", "g", "--d", "6", "--radius", "11",
+                 "--out", out]) == 3
+    assert built == []
+    near = ["build", "--family", "g", "--d", "3", "--radius", "3",
+            "--center", "(2,1)/(3,3)", "--out", out]
+    assert main([*near, "--max-nodes", "21"]) == 3
+    assert built == []
+    assert capsys.readouterr().err.count("resource cap: ball exceeds") == 2
+    assert main([*near, "--max-nodes", "22"]) == 0
+    assert len(set(built)) == 22
+
+
 def test_memory_error_is_a_resource_cap(monkeypatch, capsys):
     def exhausted(d, max_pairs):
         raise MemoryError

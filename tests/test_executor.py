@@ -404,6 +404,39 @@ def test_trace_reads_agree_before_and_after_the_dicts_are_built():
                 assert trace.received(r, v) == want_messages[r - 1][v]
 
 
+@pytest.mark.parametrize("machine,stops", [(solve_pi_mv(4), True),
+                                           (canonical_sv(4), False)])
+def test_trace_reads_match_reference_on_numberings_that_split(machine,
+                                                               stops):
+    # Random in-labels split some nodes' label dicts; every read of the
+    # per-class records agrees with the reference, past the stop too.
+    rng = random.Random(11)
+    graph = random_graph(rng, 12, 4)
+    assert any(graph._in[v] is not graph._out[v] for v in graph.nodes)
+    colouring = random_colouring(rng, graph)
+    trace = execute(machine, graph, colouring, max_rounds=3)
+    states, messages, stopped_round = reference_execute(
+        machine, graph, colouring, 3)
+    assert trace.stopped_round == stopped_round == (1 if stops else None)
+    assert trace.states == states and trace.messages == messages
+    for r in range(1, 6):
+        for v in graph.nodes:
+            if r < len(states):
+                assert trace.state(r, v) == states[r][v]
+                assert trace.received(r, v) == messages[r - 1][v]
+            elif stops:
+                assert trace.state(r, v) == states[-1][v]
+                assert trace.received(r, v) == (EPSILON,) * 4
+            else:
+                with pytest.raises(IndexError):
+                    trace.state(r, v)
+    if stops:
+        assert local_outputs(trace) == states[-1]
+    else:
+        with pytest.raises(DidNotHaltError):
+            local_outputs(trace)
+
+
 def test_stop_contract_is_checked_once_per_stopping_state():
     # Every node of the collapsed hb d=3 tree halts in round 1; the probes
     # of the contract run once per distinct stopping state, not per node.

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import svmv
+from svmv import experiments
 from svmv.errors import FormatError, ResourceLimitError
+from svmv.executor import execute
 from svmv.experiments import run_theorem1, run_theorem2
+from svmv.machines import AD_HOC_SV_MACHINES
 
 
 def test_message_equality_report_smallest_parameter():
@@ -25,6 +32,41 @@ def test_message_equality_guard():
         run_theorem1(5)
     with pytest.raises(FormatError):
         run_theorem1(1)
+
+
+def test_theorem1_executes_only_the_rounds_its_rows_read(monkeypatch):
+    # Row r compares messages emitted from the states of round r - 1, so
+    # the rows up to 2*delta - 1 read nothing past round 2*delta - 2.
+    rounds = []
+
+    def recorded(machine, graph, colouring=None, *, max_rounds):
+        trace = execute(machine, graph, colouring, max_rounds=max_rounds)
+        rounds.append(trace.rounds())
+        return trace
+
+    monkeypatch.setattr(experiments, "execute", recorded)
+    for delta in (2, 3, 4):
+        rounds.clear()
+        run_theorem1(delta)
+        assert rounds == [2 * delta - 2] * (1 + len(AD_HOC_SV_MACHINES))
+
+
+def test_theorem1_delta4_memory_peak():
+    # tracemalloc peak of run_theorem1(4) in a fresh interpreter, so no
+    # view is interned beforehand.  It reads about 14 MiB.  Running the
+    # unread round 2*delta - 1 reads about 18; per-node state lists in the
+    # traces and separate in- and out-label dicts per node, about 17.4.
+    root = str(Path(svmv.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    script = ("import tracemalloc\n"
+              "from svmv.experiments import run_theorem1\n"
+              "tracemalloc.start()\n"
+              "run_theorem1(4)\n"
+              "print(tracemalloc.get_traced_memory()[1])\n")
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert int(done.stdout) < 17 * 2**20
 
 
 def test_root_experiment_smallest_parameter():

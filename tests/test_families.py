@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from oracles import naive_children_g, naive_children_h, rule_back_edges
 from svmv.errors import FormatError, ResourceLimitError
 from svmv.executor import execute
-from svmv.families import (FAMILIES, FamilyView, ROOT, build_ball,
-                           build_collapsed, build_full, children,
+from svmv.families import (FAMILIES, FamilyView, ROOT, ball_size,
+                           build_ball, build_collapsed, build_full, children,
                            children_g, children_h, family_collapse,
                            format_path, full_tree_size, node_colour,
                            node_degree, parse_path, pi, validate_path)
@@ -129,6 +130,28 @@ def test_full_small_tree_node_count():
                                       ("hw", 2), ("hw", 3)])
 def test_full_tree_size_counts_the_built_tree(family, d):
     assert full_tree_size(family, d) == len(build_full(family, d).nodes)
+
+
+@pytest.mark.parametrize("family,d", [("g", 2), ("g", 3), ("hb", 2),
+                                      ("hw", 2)])
+def test_ball_size_counts_every_ball(family, d):
+    # Every centre, radii 0..2d+2: at d=2 against the built ball, at d=3
+    # against breadth-first distances in the whole tree.
+    full = build_full(family, d)
+    adjacent = {v: full.neighbours(v) for v in full.nodes}
+    for centre in full.nodes:
+        dist, order = {centre: 0}, [centre]
+        for v in order:
+            for u in adjacent[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    order.append(u)
+        at = Counter(dist.values())
+        for radius in range(2 * d + 3):
+            want = sum(at[k] for k in range(radius + 1))
+            if d == 2:
+                assert len(build_ball(family, d, centre, radius).nodes) == want
+            assert ball_size(family, d, len(centre), radius) == want
 
 
 def test_full_tree_size_closed_form_for_g():

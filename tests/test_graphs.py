@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from svmv.bisim import MaterializedView, PointedInstance, bisimilar
 from svmv.errors import BallExhaustedError, FormatError, NumberingError
-from svmv.families import build_ball, build_full, format_path
+from svmv.families import (build_ball, build_collapsed, build_full,
+                           format_path)
 from svmv.graphs import PortNumberedGraph, random_colouring, random_graph
 
 
@@ -31,6 +32,48 @@ def test_runnable_check_names_a_reused_label_put_in_behind_add_edge():
         graph.require_runnable(3)
     assert str(exc.value) == \
         "node 'b' carries port label 4, need integers in 1..3"
+
+
+@pytest.mark.parametrize("family,d", [("g", 3), ("hb", 2), ("hw", 2)])
+def test_tree_nodes_keep_one_label_dict(family, d):
+    graph = build_collapsed(family, d)
+    assert all(graph._in[v] is graph._out[v] for v in graph.nodes)
+
+
+def _path_with_two_differing_in_labels():
+    # b and d receive under a label other than the one they write.
+    graph = PortNumberedGraph()
+    graph.add_edge("a", "b", 1, 1)
+    graph.add_edge("b", "c", 2, 1, in_uv=3)
+    graph.add_edge("c", "d", 2, 1, in_uv=2, in_vu=2)
+    return graph
+
+
+def test_only_nodes_with_a_differing_in_label_split():
+    graph = _path_with_two_differing_in_labels()
+    assert [v for v in graph.nodes if graph._in[v] is not graph._out[v]] \
+        == ["b", "d"]
+    assert graph._out["b"] == {"a": 1, "c": 2}
+    assert graph._in["b"] == {"a": 1, "c": 3}
+    assert graph._out["d"] == {"c": 1} and graph._in["d"] == {"c": 2}
+    assert graph.in_port("c", "d") == graph.out_port("c", "d") == 2
+    text = graph.to_json()
+    loaded = PortNumberedGraph.from_json(text)
+    assert loaded.to_json() == text
+    assert [v for v in loaded.nodes
+            if loaded._in[v] is not loaded._out[v]] == ["b", "d"]
+
+
+def test_reused_in_port_is_named_on_shared_and_split_nodes():
+    graph = _path_with_two_differing_in_labels()
+    with pytest.raises(NumberingError) as exc:
+        graph.add_edge("a", "e", 2, 1, in_uv=1)
+    assert str(exc.value) == "node 'a' reuses in-port 1"
+    assert graph._in["a"] is graph._out["a"] == {"b": 1}
+    with pytest.raises(NumberingError) as exc:
+        graph.add_edge("b", "e", 3, 1)
+    assert str(exc.value) == "node 'b' reuses in-port 3"
+    assert graph._out["b"] == {"a": 1, "c": 2}
 
 
 def test_self_loops_rejected():
