@@ -126,7 +126,7 @@ def max_bisim_radius(a: PointedInstance, b: PointedInstance, cap: int,
     and -1 when the points are not even 0-bisimilar.
     """
     if cap < 0:
-        raise ValueError("cap must be >= 0")
+        raise ValueError("radius cap must be >= 0")
     if cache is None:
         cache = BisimCache()
     got = _radius(a.view, a.view.suffix_key(a.point, cap), b.view,

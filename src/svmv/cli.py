@@ -12,16 +12,17 @@ import argparse
 import json
 import sys
 
-from .bisim import PointedInstance, bisimilar, max_bisim_radius
+from .bisim import PointedInstance, max_bisim_radius
 from .errors import FormatError, ResourceLimitError, SvmvError
-from .families import (FamilyView, build_ball, build_full, family_collapse,
-                       format_path, parse_path, validate_path)
+from .families import (DEFAULT_MAX_NODES, FamilyView, build_ball, build_full,
+                       family_collapse, format_path, parse_path,
+                       validate_path)
 from .graphs import PortNumberedGraph
 from .problem import check_pi, solve_pi_mv
 from .reproduce import rows_to_csv, run_reproduction
 from .simulate import multiset_echo, run_simulation
 from .experiments import run_theorem1, run_theorem2
-from .walks import find_critical_psw, verify_psw
+from .walks import DEFAULT_MAX_PAIRS, find_critical_psw, verify_psw
 
 INNER_MACHINES = {
     "pi-solver": solve_pi_mv,
@@ -89,12 +90,10 @@ def cmd_bisim(args) -> int:
     for v in points:
         validate_path(args.family, v, args.d)
     a, b = (PointedInstance(view, v) for v in points)
-    similar = bisimilar(a, b, args.radius)
-    failing = None
-    if not similar:
-        best = max_bisim_radius(a, b, args.radius)
-        failing = 0 if best == -1 else best + 1
-    _write_json(args.out, {"similar": similar, "failing_radius": failing})
+    # None when every radius up to --radius holds, -1 when radius 0 fails.
+    best = max_bisim_radius(a, b, args.radius)
+    failing = None if best is None else best + 1
+    _write_json(args.out, {"similar": best is None, "failing_radius": failing})
     return EXIT_OK
 
 
@@ -161,13 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", default="()")
     p.add_argument("--collapse", action="store_true",
                    help="apply the family's port collapse")
-    p.add_argument("--max-nodes", type=int, default=500_000)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
     p.add_argument("--out", help="output base path (writes .json and .dot)")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("psw", help="critical separating-walk search")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-pairs", type=int, default=50_000_000)
+    p.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_psw)

@@ -129,12 +129,6 @@ def ball_size(family: str, d: int, depth: int, radius: int) -> int:
         for j in range(1, min(depth, radius) + 1))
 
 
-def full_tree_size(family: str, d: int) -> int:
-    """Node count of the whole tree, the root's ball of radius 2d.  ``g``:
-    1 + d * sum over k < 2d of (d-1)^k, which is 13,121 at d=4."""
-    return ball_size(family, d, 0, 2 * d)
-
-
 def node_colour(family: str, v: Path) -> str | None:
     """Local input of a node: its step colour, grey at the root; None in g."""
     if family == "g":
@@ -244,29 +238,28 @@ def family_collapse(family: str, d: int) -> PortCollapse:
 class FamilyView:
     """Lazy neighbourhood access to a full family tree.
 
-    Nothing is materialised.  A node's labelled neighbours come from a
-    private table keyed on ``suffix_key(v, 1)``: each entry holds the
-    parent's label towards ``v`` and the children's steps with their labels
-    towards ``v``, filled from ``children`` and ``pi`` the first time its
-    key is seen.  The rules thus run once per class, and a view holds at
-    most O(d^3) entries (g: 87 at d=5, hb/hw: 172).  The table lives and
-    dies with the view.
+    Nothing is materialised.  A node's labelled neighbours come from one
+    private table keyed on ``suffix_key(v, 1)`` and filled from that key
+    alone: the first time a key is read, ``children`` and ``out_label`` run
+    on a stand-in path that keeps only the key's steps.  An entry holds the
+    parent's label towards ``v``, the children's steps with their labels
+    towards ``v``, and the neighbours' radius-0 keys with those labels.
+    The rules thus run once per class, and a view holds at most O(d^3)
+    entries (g: 87 at d=5, hb/hw: 172).  The table lives and dies with the
+    view.
 
-    The table is read at two levels.  ``back_edges(v)`` lists a node's
+    Two methods read the table.  ``back_edges(v)`` lists a node's
     neighbours as paths.  ``key_edges(key, radius)`` lists them as their
     suffix keys for ``radius - 1``, and ``key_local(key)`` gives the
     degree and local input, both read off a suffix key alone; so the walk
     search and bisimilarity step from key to key and never build a path.
-    A class the key level meets first is read through ``back_edges``, on
-    a stand-in path, so every label a key-level search sees has passed
-    through ``back_edges`` once.
 
     A view reads its collapse once: the table keeps labels with the collapse
     applied, so ``family``, ``d`` and ``collapse`` are read-only.
-    ``out_label`` still goes through ``pi`` and never reads the table, so
-    the step labels ``verify_psw`` re-checks and the label-uniqueness
-    suite's out-labels stay independent of it.  This is the graph backend
-    for bisimilarity queries and walk searches at any reachable radius.
+    ``out_label`` goes through ``pi`` and never reads the table, so the
+    step labels ``verify_psw`` re-checks and the label-uniqueness suite's
+    out-labels stay independent of it.  This is the graph backend for
+    bisimilarity queries and walk searches at any reachable radius.
     """
 
     def __init__(self, family: str, d: int, collapse: PortCollapse | None = None):
@@ -278,10 +271,9 @@ class FamilyView:
         self._d = d
         self._collapse = collapse
         # suffix_key(v, 1) -> (parent's label towards v or None,
-        #                      (((child step,), its label towards v), ...))
-        self._local: dict[tuple, tuple] = {}
-        # suffix_key(v, 1) -> key_edges(that key, 1), which it fixes
-        self._near: dict[tuple, list] = {}
+        #                      (((child step,), its label towards v), ...),
+        #                      key_edges(that key, 1), which it fixes)
+        self._table: dict[tuple, tuple] = {}
         self._degrees = [_depth_degree(family, depth, d)
                          for depth in range(2 * d + 1)]
 
@@ -308,23 +300,28 @@ class FamilyView:
         out.extend(children(self._family, v, self._d))
         return out
 
-    def _label(self, u: Path, v: Path):
-        label = pi(self._family, u, v)
-        return self._collapse.apply(label) if self._collapse else label
-
-    def _local_entry(self, v: Path) -> tuple:
-        up = self._label(v[:-1], v) if v else None
-        return up, tuple((u[-1:], self._label(u, v))
+    def _entry(self, depth: int, steps: tuple) -> tuple:
+        """The table entry of the key ``(depth, steps)`` for radius 1,
+        filled from the rules on first use."""
+        entry = self._table.get((depth, steps))
+        if entry is None:
+            # The rules read only the steps a key keeps, so None may stand
+            # in for the ones it dropped.
+            v = (None,) * (depth - len(steps)) + steps
+            up = self.out_label(v[:-1], v) if depth else None
+            down = tuple((u[-1:], self.out_label(u, v))
                          for u in children(self._family, v, self._d))
+            near = [((depth - 1, self._trim(steps[:-1], 0)), up)] \
+                if depth else []
+            near.extend([((depth + 1, self._trim(step, 0)), label)
+                         for step, label in down])
+            entry = self._table[depth, steps] = up, down, near
+        return entry
 
     def back_edges(self, v: Path) -> list[tuple[Path, Any]]:
         """Pairs (neighbour u, label of u towards v): the parent first, then
         the children in rule order."""
-        key = self.suffix_key(v, 1)
-        entry = self._local.get(key)
-        if entry is None:
-            entry = self._local[key] = self._local_entry(v)
-        up, down = entry
+        up, down, _ = self._entry(len(v), self._trim(v, 1))
         out = [(v[:-1], up)] if v else []
         out.extend([(v + step, label) for step, label in down])
         return out
@@ -336,40 +333,20 @@ class FamilyView:
 
         The parent's key drops the last step and a child's appends its
         step; ``_trim`` cuts both, and the table key, as ``suffix_key``
-        cuts a path.  At radius 1 the list depends only on
-        ``suffix_key(v, 1)``, so it is built once per table entry and
-        shared: callers must not change it.
+        cuts a path.  The radius-1 list is the table entry's own, so
+        callers must not change it.
         """
         depth, steps = key
-        local = (depth, self._trim(steps, 1))
+        up, down, near = self._entry(depth, self._trim(steps, 1))
         if radius == 1:
-            near = self._near.get(local)
-            if near is not None:
-                return near
-        entry = self._local.get(local)
-        if entry is None:
-            # The rules read only the steps a key keeps, so None may stand
-            # in for the ones it dropped.
-            stand_in = (None,) * (depth - len(steps)) + steps
-            edges = self.back_edges(stand_in)
-            down = edges[1:] if depth else edges
-            entry = self._local[local] = (
-                edges[0][1] if depth else None,
-                tuple((u[-1:], label) for u, label in down))
-        up, down = entry
+            return near
         out = [((depth - 1, self._trim(steps[:-1], radius - 1)), up)] \
             if depth else []
-        if radius == 1:
-            out.extend([((depth + 1, self._trim(step, 0)), label)
-                        for step, label in down])
-        else:
-            # A child's key for radius - 1 is the parent's for radius - 2
-            # and the child's step.
-            head = self._trim(steps, radius - 2)
-            out.extend([((depth + 1, head + step), label)
-                        for step, label in down])
-        if radius == 1:
-            self._near[local] = out
+        # A child's key for radius - 1 is the parent's for radius - 2 and
+        # the child's step.
+        head = self._trim(steps, radius - 2)
+        out.extend([((depth + 1, head + step), label)
+                    for step, label in down])
         return out
 
     def key_local(self, key: tuple) -> tuple:
@@ -378,7 +355,8 @@ class FamilyView:
         return self._degrees[depth], node_colour(self._family, steps)
 
     def out_label(self, u: Path, v: Path):
-        return self._label(u, v)
+        label = pi(self._family, u, v)
+        return self._collapse.apply(label) if self._collapse else label
 
     def suffix_key(self, v: Path, radius: int) -> tuple:
         """Canonical key of ``v`` for searches with ``radius`` moves left.

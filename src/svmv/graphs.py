@@ -54,20 +54,23 @@ class PortNumberedGraph:
         """
         if u == v:
             raise NumberingError("self-loops are not allowed")
-        self.add_node(u)
-        self.add_node(v)
-        if v in self._out[u]:
+        # Every check runs before a node is added, so a refused edge leaves
+        # the graph as it was; a new node has no labels yet.
+        out_u, out_v = self._out.get(u, {}), self._out.get(v, {})
+        if v in out_u:
             raise NumberingError(f"duplicate edge {u!r} -- {v!r}")
         in_uv = out_uv if in_uv is None else in_uv
         in_vu = out_vu if in_vu is None else in_vu
-        if out_uv in self._out[u].values():
+        if out_uv in out_u.values():
             raise NumberingError(f"node {u!r} reuses out-port {out_uv!r}")
-        if out_vu in self._out[v].values():
+        if out_vu in out_v.values():
             raise NumberingError(f"node {v!r} reuses out-port {out_vu!r}")
-        if in_uv in self._in[u].values():
+        if in_uv in self._in.get(u, {}).values():
             raise NumberingError(f"node {u!r} reuses in-port {in_uv!r}")
-        if in_vu in self._in[v].values():
+        if in_vu in self._in.get(v, {}).values():
             raise NumberingError(f"node {v!r} reuses in-port {in_vu!r}")
+        self.add_node(u)
+        self.add_node(v)
         self._plans.clear()
         for a, b, out_ab, in_ab in ((u, v, out_uv, in_uv),
                                     (v, u, out_vu, in_vu)):
@@ -299,8 +302,13 @@ def _parse_label(text):
 
 # -- random instances ------------------------------------------------------
 
+# Share of the degree-capped edge count a random graph aims for, and the
+# inputs a random colouring draws from.
+DENSITY = 0.5
+PALETTE = ("B", "W", "G")
 
-def random_graph(rng, n: int, delta: int, density: float = 0.5) -> PortNumberedGraph:
+
+def random_graph(rng, n: int, delta: int) -> PortNumberedGraph:
     """Random simple graph on nodes ``0..n-1`` with max degree <= delta.
 
     Edges are sampled by repeated pair draws under the degree cap, so the
@@ -313,7 +321,7 @@ def random_graph(rng, n: int, delta: int, density: float = 0.5) -> PortNumberedG
         return graph
     deg = [0] * n
     adj = [set() for _ in range(n)]
-    target = int(density * n * min(delta, n - 1) / 2)
+    target = int(DENSITY * n * min(delta, n - 1) / 2)
     attempts = 0
     edges = []
     while len(edges) < target and attempts < 20 * (target + 1):
@@ -353,6 +361,5 @@ def _random_numbering(rng, n, edges):
     return {k: tuple(v) for k, v in ports.items()}
 
 
-def random_colouring(rng, graph: PortNumberedGraph,
-                     palette=("B", "W", "G")) -> dict:
-    return {v: rng.choice(palette) for v in graph.nodes}
+def random_colouring(rng, graph: PortNumberedGraph) -> dict:
+    return {v: rng.choice(PALETTE) for v in graph.nodes}

@@ -31,7 +31,6 @@ def gather_rounds(delta: int) -> int:
 
 @dataclass(frozen=True)
 class _Gather:
-    done: int
     view: ViewTree
     inner: Any
 
@@ -68,7 +67,7 @@ def mv_by_sv(inner: StateMachine) -> StateMachine:
         inner0 = inner.init(degree, local_input)
         if phase1 == 0:
             return start_phase2(v0, inner0)
-        return _Gather(0, v0, inner0)
+        return _Gather(v0, inner0)
 
     def emit(state, port):
         if isinstance(state, _Gather):
@@ -81,8 +80,8 @@ def mv_by_sv(inner: StateMachine) -> StateMachine:
         if isinstance(state, _Gather):
             pairs = (m for m in received if m is not EPSILON)
             grown = extend_view(state.view, pairs)
-            if state.done + 1 < phase1:
-                return _Gather(state.done + 1, grown, state.inner)
+            if grown.round < phase1:
+                return _Gather(grown, state.inner)
             return start_phase2(grown, state.inner)
         if isinstance(state, _Relay):
             multiset = Counter()

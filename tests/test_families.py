@@ -11,7 +11,7 @@ from svmv.executor import execute
 from svmv.families import (FAMILIES, FamilyView, ROOT, ball_size,
                            build_ball, build_collapsed, build_full, children,
                            children_g, children_h, family_collapse,
-                           format_path, full_tree_size, node_colour,
+                           format_path, node_colour,
                            node_degree, parse_path, pi, validate_path)
 from svmv.views import canonical_sv
 
@@ -129,7 +129,7 @@ def test_full_small_tree_node_count():
                                       ("hb", 2), ("hb", 3),
                                       ("hw", 2), ("hw", 3)])
 def test_full_tree_size_counts_the_built_tree(family, d):
-    assert full_tree_size(family, d) == len(build_full(family, d).nodes)
+    assert ball_size(family, d, 0, 2 * d) == len(build_full(family, d).nodes)
 
 
 @pytest.mark.parametrize("family,d", [("g", 2), ("g", 3), ("hb", 2),
@@ -156,9 +156,9 @@ def test_ball_size_counts_every_ball(family, d):
 
 def test_full_tree_size_closed_form_for_g():
     for d in range(2, 8):
-        assert full_tree_size("g", d) == \
+        assert ball_size("g", d, 0, 2 * d) == \
             1 + d * sum((d - 1) ** k for k in range(2 * d))
-    assert full_tree_size("g", 4) == 13_121
+    assert ball_size("g", 4, 0, 8) == 13_121
 
 
 def test_radius_zero_ball_records_true_degree():
@@ -343,8 +343,8 @@ def test_back_edges_follow_the_rules_at_every_node(family, d):
                                       ("hb", 2), ("hb", 3),
                                       ("hw", 2), ("hw", 3)])
 def test_key_edges_commute_with_suffix_key(family, d):
-    # The key-level view starts empty, so its table is filled from keys
-    # alone (through stand-in paths), never from a real node.
+    # The key-level view starts empty, so key_edges, not back_edges, fills
+    # its table.
     for collapse in (None, family_collapse(family, d)):
         view = FamilyView(family, d, collapse)
         keyed = FamilyView(family, d, collapse)
@@ -362,6 +362,41 @@ def test_key_edges_commute_with_suffix_key(family, d):
                 assert keyed.key_local(view.suffix_key(v, r - 1)) == \
                     (view.degree(v), view.local_input(v))
             stack.extend(children(family, v, d))
+
+
+@pytest.mark.parametrize("family", ["g", "hb"])
+@pytest.mark.parametrize("paths_first", [True, False])
+def test_rules_run_once_per_table_class(monkeypatch, family, paths_first):
+    # back_edges and key_edges read one table, so whichever level reads a
+    # class first fills it for the other.
+    d = 3
+    nodes, stack = [], [ROOT]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(children(family, nodes[-1], d))
+    view = FamilyView(family, d)
+    classes = {view.suffix_key(v, 1) for v in nodes}
+    keys = {(view.suffix_key(v, r), r)
+            for v in nodes for r in range(1, 2 * d + 1)}
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return children(*args)
+
+    def read_paths():
+        for v in nodes:
+            view.back_edges(v)
+
+    def read_keys():
+        for key, r in keys:
+            view.key_edges(key, r)
+
+    monkeypatch.setattr("svmv.families.children", counted)
+    order = (read_paths, read_keys) if paths_first else (read_keys, read_paths)
+    for read in order:
+        read()
+    assert len(calls) == len(classes)
 
 
 @pytest.mark.parametrize("family,d", [("g", 2), ("g", 3), ("hb", 2),

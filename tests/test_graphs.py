@@ -18,6 +18,24 @@ def test_duplicate_ports_rejected_at_construction():
         graph.add_edge("a", "c", 1, 1)
 
 
+@pytest.mark.parametrize("edge,message", [
+    (("a", "e", 1, 1), "node 'a' reuses out-port 1"),
+    (("e", "a", 1, 1), "node 'a' reuses out-port 1"),
+    (("a", "e", 2, 2, 1), "node 'a' reuses in-port 1"),
+    (("a", "b", 2, 2), "duplicate edge 'a' -- 'b'"),
+    (("e", "e", 1, 1), "self-loops are not allowed"),
+])
+def test_refused_edge_leaves_the_graph_as_it_was(edge, message):
+    graph = PortNumberedGraph()
+    graph.add_edge("a", "b", 1, 1)
+    plan = graph.run_plan(1)
+    with pytest.raises(NumberingError) as exc:
+        graph.add_edge(*edge)
+    assert str(exc.value) == message
+    assert graph.nodes == ["a", "b"]
+    assert graph.run_plan(1) is plan
+
+
 def test_runnable_check_names_a_reused_label_put_in_behind_add_edge():
     graph = PortNumberedGraph()
     graph.add_edge("a", "b", 1, 1)

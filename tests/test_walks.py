@@ -108,7 +108,8 @@ def test_critical_length_equals_bisimilarity_radius(d):
 
 def test_duplicate_back_label_is_an_internal_error(monkeypatch):
     # The last neighbour of every node writes the first one's label, so a
-    # label no longer names one neighbour and the pair search must stop.
+    # label no longer names one neighbour and the witness replay, which
+    # steps on paths, must stop.
     back_edges = FamilyView.back_edges
 
     def repeated(self, v):
@@ -119,6 +120,22 @@ def test_duplicate_back_label_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(FamilyView, "back_edges", repeated)
     with pytest.raises(InternalInconsistencyError):
+        find_critical_psw(3)
+
+
+def test_duplicate_back_label_stops_the_key_search(monkeypatch):
+    # The same fault on the key level stops the search itself, naming the
+    # class whose neighbours share a label.
+    key_edges = FamilyView.key_edges
+
+    def repeated(self, key, radius):
+        edges = list(key_edges(self, key, radius))
+        if len(edges) > 1:
+            edges[-1] = (edges[-1][0], edges[0][1])
+        return edges
+
+    monkeypatch.setattr(FamilyView, "key_edges", repeated)
+    with pytest.raises(InternalInconsistencyError, match="the depth-"):
         find_critical_psw(3)
 
 
@@ -142,8 +159,7 @@ def test_an_unseparable_pair_is_searched_to_every_horizon(monkeypatch):
                 enumerate(key_edges(self, key, radius))]
 
     def recorded(self, v, radius):
-        if radius > 1:  # not the table lookups of back_edges
-            radii.append(radius)
+        radii.append(radius)
         return suffix_key(self, v, radius)
 
     monkeypatch.setattr(FamilyView, "key_edges", positional)
