@@ -30,7 +30,7 @@ from .problem import COLOURS, check_pi, output_colour, pi_allowed, solve_pi_mv
 from .simulate import (SimulationReport, audit_signatures, gather_rounds,
                        multiset_echo, mv_by_sv, run_simulation)
 from .experiments import run_theorem1, run_theorem2
-from .views import ViewTree, canonical_sv, extend_view, view, view_root
+from .views import ViewTree, canonical_sv, view
 from .walks import (PCW, PSW, VerifyResult, WalkPair, find_critical_psw,
                     successor, verify_psw, walk_pair_from_labels)
 

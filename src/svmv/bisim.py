@@ -46,15 +46,14 @@ class MaterializedView:
     locality rule, so a node is its own suffix key at every radius.
     """
 
-    def __init__(self, graph: PortNumberedGraph, colouring: dict | None = None):
+    def __init__(self, graph: PortNumberedGraph):
         self.graph = graph
-        self.colouring = colouring if colouring is not None else graph.colours
 
     def degree(self, v) -> int:
         return self.graph.declared_degree(v)
 
     def local_input(self, v):
-        return self.colouring.get(v)
+        return self.graph.colours.get(v)
 
     def back_edges(self, v):
         graph = self.graph

@@ -155,8 +155,7 @@ class PortNumberedGraph:
 
     # -- serialisation ----------------------------------------------------
 
-    def to_json_dict(self, node_fmt: Callable[[Any], str] = None,
-                     label_fmt: Callable[[Any], str] = None) -> dict:
+    def to_json_dict(self, node_fmt: Callable[[Any], str] = None) -> dict:
         """JSON document of the graph.
 
         A node record carries ``true_degree`` only when it differs from the
@@ -166,7 +165,6 @@ class PortNumberedGraph:
         without these fields keep their meaning.
         """
         node_fmt = node_fmt or _default_node_fmt
-        label_fmt = label_fmt or _default_label_fmt
         nodes = []
         for v in self._order:
             rec: dict[str, Any] = {"id": node_fmt(v)}
@@ -178,11 +176,11 @@ class PortNumberedGraph:
         edges = []
         for u, v in self._edges:
             rec = {"u": node_fmt(u), "v": node_fmt(v),
-                   "port_uv": label_fmt(self._out[u][v]),
-                   "port_vu": label_fmt(self._out[v][u])}
+                   "port_uv": _label_text(self._out[u][v]),
+                   "port_vu": _label_text(self._out[v][u])}
             for key, a, b in (("in_uv", u, v), ("in_vu", v, u)):
                 if self._in[a][b] != self._out[a][b]:
-                    rec[key] = label_fmt(self._in[a][b])
+                    rec[key] = _label_text(self._in[a][b])
             edges.append(rec)
         return {"nodes": nodes, "edges": edges, "proper": self.is_proper()}
 
@@ -216,10 +214,8 @@ class PortNumberedGraph:
         return cls.from_json_dict(data)
 
     def to_dot(self, node_fmt: Callable[[Any], str] = None,
-               label_fmt: Callable[[Any], str] = None,
                highlight: Iterable = ()) -> str:
         node_fmt = node_fmt or _default_node_fmt
-        label_fmt = label_fmt or _default_label_fmt
         fills = {"B": ("black", "white"), "W": ("white", "black"),
                  "G": ("grey", "black")}
         marked = set(highlight)
@@ -234,7 +230,8 @@ class PortNumberedGraph:
             attr = (" [" + " ".join(attrs) + "]") if attrs else ""
             lines.append(f'  "{node_fmt(v)}"{attr};')
         for u, v in self._edges:
-            label = f"{label_fmt(self._out[u][v])}/{label_fmt(self._out[v][u])}"
+            label = (f"{_label_text(self._out[u][v])}/"
+                     f"{_label_text(self._out[v][u])}")
             lines.append(f'  "{node_fmt(u)}" -- "{node_fmt(v)}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -280,7 +277,7 @@ def _default_node_fmt(v) -> str:
     return v if isinstance(v, str) else repr(v)
 
 
-def _default_label_fmt(label) -> str:
+def _label_text(label) -> str:
     if isinstance(label, tuple):
         return "(" + ",".join(str(x) for x in label) + ")"
     return str(label)

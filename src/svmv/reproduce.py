@@ -32,6 +32,10 @@ DESK_SCALE_CAPS = ("walk search d<=5; bisimilarity radius runs d<=4; "
 # The largest d a psw row is searched for: psw d=7 takes about 7 s and
 # 180 MiB, d=8 more than 3 GB.
 PSW_D_MAX = 7
+BISIM_D_VALUES = (2, 3, 4)
+THEOREM1_DELTAS = (2, 3, 4)
+THEOREM2_D_VALUES = (2, 3)
+SIM_CASES = 100
 
 
 @dataclass
@@ -88,23 +92,23 @@ def psw_witness_row() -> CriterionRow:
                 observed, ok)
 
 
-def bisim_radius_rows(d_values=(2, 3, 4)) -> list[CriterionRow]:
+def bisim_radius_rows() -> list[CriterionRow]:
     rows = []
     t0 = time.perf_counter()
-    for d in d_values:
+    for d in BISIM_D_VALUES:
         view = FamilyView("g", d)
         got = max_bisim_radius(PointedInstance(view, ((1, 0),)),
                                PointedInstance(view, ((2, 1),)), cap=2 * d)
         rows.append(_row("bisim-radius", f"d={d} cap={2 * d}", 2 * d - 3,
                          got, got == 2 * d - 3))
-    rows.append(_budget_row("bisim-runtime", f"d<={max(d_values)}", 300,
+    rows.append(_budget_row("bisim-runtime", f"d<={max(BISIM_D_VALUES)}", 300,
                             time.perf_counter() - t0))
     return rows
 
 
-def theorem1_rows(deltas=(2, 3, 4)) -> list[CriterionRow]:
+def theorem1_rows() -> list[CriterionRow]:
     rows = []
-    for delta in deltas:
+    for delta in THEOREM1_DELTAS:
         report = run_theorem1(delta)
         want = 2 * delta - 2
         ok = (report["equal_through"] == want
@@ -119,9 +123,9 @@ def theorem1_rows(deltas=(2, 3, 4)) -> list[CriterionRow]:
     return rows
 
 
-def theorem2_rows(d_values=(2, 3)) -> list[CriterionRow]:
+def theorem2_rows() -> list[CriterionRow]:
     rows = []
-    for d in d_values:
+    for d in THEOREM2_D_VALUES:
         report = run_theorem2(d)
         want = 2 * d - 2
         solver = report["mv_solver"]
@@ -142,11 +146,11 @@ def theorem2_rows(d_values=(2, 3)) -> list[CriterionRow]:
     return rows
 
 
-def simulation_rows(seed: int, instances: int = 100) -> list[CriterionRow]:
+def simulation_rows(seed: int) -> list[CriterionRow]:
     rng = random.Random(derive_seed(seed, "simulation-differential"))
     t0 = time.perf_counter()
     failures = []
-    for i in range(instances):
+    for i in range(SIM_CASES):
         n = rng.randint(1, 40)
         delta = rng.randint(1, 5)
         graph = random_graph(rng, n, delta)
@@ -165,7 +169,7 @@ def simulation_rows(seed: int, instances: int = 100) -> list[CriterionRow]:
                                 f"!= {gather_rounds(delta)}")
         except SvmvError as exc:
             failures.append(f"instance {i}: {exc}")
-    rows = [_row("simulation-differential", f"{instances} seeded instances",
+    rows = [_row("simulation-differential", f"{SIM_CASES} seeded instances",
                  "all outputs equal, exact overhead, no collisions",
                  failures[0] if failures else "all held", not failures)]
     for family in ("hb", "hw"):
@@ -183,7 +187,7 @@ def simulation_rows(seed: int, instances: int = 100) -> list[CriterionRow]:
         rows.append(_row("simulation-differential", f"{family} d=2",
                          f"outputs equal, overhead {gather_rounds(2*d-1)}",
                          observed, ok))
-    rows.append(_budget_row("simulation-runtime", f"{instances} instances",
+    rows.append(_budget_row("simulation-runtime", f"{SIM_CASES} instances",
                             120, time.perf_counter() - t0))
     return rows
 

@@ -1,13 +1,15 @@
 """Running multiset-reception machines on set-reception hardware.
 
-The wrapper spends 2*delta - 2 rounds gathering full-information views.
-After that phase, any two neighbours of a node either write different
-out-ports towards it or hold different views, so the pair (view, out-port)
-is a per-neighbour signature.  Relayed messages carry their sender's
-signature, which lets a receiver count how many distinct neighbours sent
-each payload and reconstruct the multiset the inner machine expects.
+The wrapper spends 2*delta - 2 rounds gathering full-information views
+with ``views.canonical_sv``.  After that phase, any two neighbours of a node
+either write different out-ports towards it or hold different views, so
+the pair (view, out-port) is a per-neighbour signature.  Relayed messages
+carry their sender's signature, so the received set keeps one message per
+neighbour, and ``machines.vmset_reduce`` of their payloads, padded with
+epsilon to delta, is the multiset the inner machine expects.
 
-The signature premise is audited from outside the machine on every run; a
+The signature premise is audited from outside the machine on every run,
+on the states ``canonical_sv`` holds in the last gathering round alone; a
 collision raises ``SignatureCollisionError`` instead of silently delivering
 wrong multiplicities.
 """
@@ -21,8 +23,8 @@ from typing import Any
 from .errors import DidNotHaltError, SignatureCollisionError
 from .executor import ExecutionTrace, execute, local_outputs
 from .graphs import PortNumberedGraph
-from .machines import EPSILON, MV, SV, StateMachine
-from .views import ViewTree, canonical_sv, extend_view, view_root
+from .machines import EPSILON, MV, SV, StateMachine, vmset_reduce
+from .views import ViewTree, canonical_sv
 
 
 def gather_rounds(delta: int) -> int:
@@ -30,13 +32,7 @@ def gather_rounds(delta: int) -> int:
 
 
 @dataclass(frozen=True)
-class _Gather:
-    view: ViewTree
-    inner: Any
-
-
-@dataclass(frozen=True)
-class _Relay:
+class _Wrapped:
     view: ViewTree
     inner: Any
 
@@ -44,63 +40,46 @@ class _Relay:
 def mv_by_sv(inner: StateMachine) -> StateMachine:
     """Set-reception machine simulating multiset-reception ``inner``.
 
-    Phase 1 (rounds 1..2*delta-2) builds views; phase 2 round t plays inner
-    round t, so the total time is the inner time plus exactly 2*delta - 2.
-    Once the inner machine stops, the wrapper state *is* the inner stopping
-    state, making the outputs literally equal.
+    Phase 1 (rounds 1..2*delta-2) runs ``canonical_sv`` on the view; phase
+    2 round t plays inner round t, so the total time is the inner time plus
+    exactly 2*delta - 2.  The phase is read off ``view.round``.  Once the
+    inner machine stops, the wrapper state *is* the inner stopping state,
+    making the outputs literally equal.
     """
     if inner.reception_class != MV:
         raise ValueError("inner machine must have reception class mv")
     delta = inner.delta
     phase1 = gather_rounds(delta)
+    gather = canonical_sv(delta)
 
-    def wrapped(state) -> bool:
-        return isinstance(state, (_Gather, _Relay))
-
-    def start_phase2(view, inner_state):
-        if inner.stopping(inner_state):
+    def wrap(view, inner_state):
+        if view.round >= phase1 and inner.stopping(inner_state):
             return inner_state
-        return _Relay(view, inner_state)
+        return _Wrapped(view, inner_state)
 
     def init(degree, local_input):
-        v0 = view_root(degree, local_input)
-        inner0 = inner.init(degree, local_input)
-        if phase1 == 0:
-            return start_phase2(v0, inner0)
-        return _Gather(v0, inner0)
+        return wrap(gather.init(degree, local_input),
+                    inner.init(degree, local_input))
 
     def emit(state, port):
-        if isinstance(state, _Gather):
-            return (port, state.view)
-        if isinstance(state, _Relay):
-            return ("relay", inner.emit(state.inner, port), state.view, port)
-        return EPSILON
+        if not isinstance(state, _Wrapped):
+            return EPSILON
+        if state.view.round < phase1:
+            return gather.emit(state.view, port)
+        return ("relay", inner.emit(state.inner, port), state.view, port)
 
     def transition(state, received):
-        if isinstance(state, _Gather):
-            pairs = (m for m in received if m is not EPSILON)
-            grown = extend_view(state.view, pairs)
-            if grown.round < phase1:
-                return _Gather(grown, state.inner)
-            return start_phase2(grown, state.inner)
-        if isinstance(state, _Relay):
-            multiset = Counter()
-            heard = 0
-            for m in received:
-                if m is EPSILON:
-                    continue
-                multiset[m[1]] += 1
-                heard += 1
-            if delta - heard > 0:
-                multiset[EPSILON] += delta - heard
-            nxt = inner.transition(state.inner, multiset)
-            if inner.stopping(nxt):
-                return nxt
-            return _Relay(state.view, nxt)
-        return state
+        if not isinstance(state, _Wrapped):
+            return state
+        if state.view.round < phase1:
+            return wrap(gather.transition(state.view, received), state.inner)
+        payloads = [m[1] for m in received if m is not EPSILON]
+        padded = payloads + [EPSILON] * (delta - len(payloads))
+        return wrap(state.view,
+                    inner.transition(state.inner, vmset_reduce(padded)))
 
     def stopping(state):
-        return not wrapped(state) and inner.stopping(state)
+        return not isinstance(state, _Wrapped) and inner.stopping(state)
 
     return StateMachine(f"mv-by-sv({inner.name})", delta, SV, init, emit,
                         transition, stopping,
@@ -118,7 +97,7 @@ def audit_signatures(graph: PortNumberedGraph, colouring: dict | None,
     phase1 = gather_rounds(delta)
     trace = execute(canonical_sv(delta), graph, colouring,
                     max_rounds=phase1)
-    final = trace.states[min(phase1, len(trace.states) - 1)]
+    final = {v: trace.state(phase1, v) for v in graph.nodes}
     check_signature_distinctness(graph, final, phase1)
     return trace
 

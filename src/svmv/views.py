@@ -8,7 +8,9 @@ is exact -- there is no hashing shortcut that could collide.
 
 The machine built from views is the coarsest-distinguishing set-reception
 machine: two nodes carry equal views in round r exactly when no machine of
-the class can have told them apart by round r.
+the class can have told them apart by round r.  ``simulate.mv_by_sv``
+gathers its signatures with it, and ``simulate.audit_signatures`` checks
+its states after 2*delta - 2 rounds.
 """
 
 from __future__ import annotations
@@ -61,16 +63,6 @@ def view(degree, input, round, children: frozenset) -> ViewTree:
     return got
 
 
-def view_root(degree, input) -> ViewTree:
-    return view(degree, input, 0, frozenset())
-
-
-def extend_view(current: ViewTree, pairs) -> ViewTree:
-    """Next-round view after hearing ``pairs`` of (port label, sender view)."""
-    return view(current.degree, current.input, current.round + 1,
-                frozenset(pairs))
-
-
 def canonical_sv(delta: int) -> StateMachine:
     """Full-information set-reception machine for degree bound ``delta``.
 
@@ -81,13 +73,14 @@ def canonical_sv(delta: int) -> StateMachine:
         raise ValueError("delta must be >= 1")
 
     def init(degree, local_input):
-        return view_root(degree, local_input)
+        return view(degree, local_input, 0, frozenset())
 
     def emit(state, port):
         return (port, state)
 
     def transition(state, received):
-        return extend_view(state, (m for m in received if m is not EPSILON))
+        return view(state.degree, state.input, state.round + 1,
+                    frozenset(m for m in received if m is not EPSILON))
 
     return StateMachine("canonical-sv", delta, SV, init, emit, transition,
                         lambda s: False)

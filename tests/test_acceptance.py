@@ -37,19 +37,19 @@ def test_criterion_2_explicit_witness_labels():
 
 
 def test_criterion_3_bisimilarity_radii():
-    _check(bisim_radius_rows((2, 3, 4)))
+    _check(bisim_radius_rows())
 
 
 def test_criterion_4_message_equality_experiment():
-    _check(theorem1_rows((2, 3, 4)))
+    _check(theorem1_rows())
 
 
 def test_criterion_5_coloured_root_experiment():
-    _check(theorem2_rows((2, 3)))
+    _check(theorem2_rows())
 
 
 def test_criterion_6_simulation_differential():
-    _check(simulation_rows(SEED, instances=100))
+    _check(simulation_rows(SEED))
 
 
 def test_criterion_7_property_suites():

@@ -258,6 +258,30 @@ def test_lazy_layer_outputs_match_golden_files(tmp_path, name, args):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+# The differential simulation on the collapsed hb d=2 ball and on a seeded
+# random graph whose in-labels differ from its out-labels.
+SIMULATE_GOLDEN = [(graph, inner) for graph in ("hb_d2", "random")
+                   for inner in ("pi-solver", "multiset-echo")]
+
+
+@pytest.mark.parametrize("graph,inner", SIMULATE_GOLDEN)
+def test_simulate_outputs_match_golden_files(tmp_path, graph, inner):
+    if graph == "hb_d2":
+        base = tmp_path / "hb2"
+        assert main(["build", "--family", "hb", "--d", "2", "--radius", "4",
+                     "--collapse", "--out", str(base)]) == 0
+        path = f"{base}.json"
+    else:
+        path = GOLDEN / "simulate_random_graph.json"
+        edges = json.loads(path.read_text())["edges"]
+        assert any("in_uv" in e or "in_vu" in e for e in edges)
+    name = f"simulate_{graph}_{inner.replace('-', '_')}.json"
+    out = tmp_path / name
+    assert main(["simulate", "--inner", inner, "--graph", str(path),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_theorem_report_stable_modulo_timings(tmp_path):
     docs = []
     for name, seed in (("r1.json", "1"), ("r2.json", "2")):

@@ -214,10 +214,10 @@ def test_incoming_slot_order_is_reception_irrelevant():
 
 
 def test_multiplicity_blindness_at_reduction_boundary():
-    from svmv.views import view_root
+    from svmv.views import view
     machine = canonical_sv(3)
     state = machine.init(2, None)
-    m = (1, view_root(2, None))
+    m = (1, view(2, None, 0, frozenset()))
     a = machine.transition(state, vset_reduce((m, m, EPSILON)))
     b = machine.transition(state, vset_reduce((m, EPSILON, EPSILON)))
     assert a == b

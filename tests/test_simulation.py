@@ -6,11 +6,12 @@ from svmv.errors import SignatureCollisionError
 from svmv.executor import execute, local_outputs
 from svmv.families import build_collapsed
 from svmv.graphs import PortNumberedGraph, random_colouring, random_graph
-from svmv.machines import MV, SV
+from svmv.machines import EPSILON, MV, SV, StateMachine
 from svmv.problem import solve_pi_mv
 from svmv.simulate import (audit_signatures, check_signature_distinctness,
                            gather_rounds, multiset_echo, mv_by_sv,
                            run_simulation)
+from svmv.views import canonical_sv
 
 
 def test_wrapper_is_set_reception():
@@ -90,3 +91,70 @@ def test_wrapper_outputs_literally_equal_inner_outputs():
     direct = execute(inner, graph, max_rounds=4)
     sim = execute(mv_by_sv(inner), graph, max_rounds=10)
     assert local_outputs(direct) == local_outputs(sim)
+
+
+def _instances():
+    """Seeded random graphs for delta 1..5, with and without colours, and
+    the collapsed hb d=2 tree, each with its degree bound."""
+    rng = random.Random(2015)
+    for delta in range(1, 6):
+        for coloured in (False, True):
+            graph = random_graph(rng, rng.randint(2, 16), delta)
+            colours = random_colouring(rng, graph) if coloured else None
+            yield pytest.param(max(1, graph.max_degree()), graph, colours,
+                               id=f"delta{delta}-coloured{int(coloured)}")
+    graph = build_collapsed("hb", 2)
+    yield pytest.param(3, graph, graph.colours, id="hb-d2")
+
+
+INSTANCES = list(_instances())
+
+
+@pytest.mark.parametrize("delta,graph,colours", INSTANCES)
+def test_wrapper_gathers_the_views_canonical_sv_holds(delta, graph, colours):
+    # The audit checks canonical_sv's states, so the wrapper's signatures
+    # must be exactly those states in every gathering round.
+    phase1 = gather_rounds(delta)
+    sim = execute(mv_by_sv(multiset_echo(delta)), graph, colours,
+                  max_rounds=phase1)
+    gathered = execute(canonical_sv(delta), graph, colours,
+                       max_rounds=phase1)
+    for r in range(phase1 + 1):
+        for v in graph.nodes:
+            assert sim.state(r, v).view is gathered.state(r, v)
+
+
+def _recorder(delta: int, rounds: int = 2) -> StateMachine:
+    """Multiset-reception machine whose state lists every multiset it
+    received, as (repr of message, count) items."""
+
+    def init(degree, local_input):
+        return (degree, local_input, ())
+
+    def emit(state, port):
+        if len(state[2]) == rounds:
+            return EPSILON
+        return (state[0], state[1], len(state[2]))
+
+    def transition(state, received):
+        if len(state[2]) == rounds:
+            return state
+        items = tuple(sorted((repr(m), n) for m, n in received.items()))
+        return (state[0], state[1], state[2] + (items,))
+
+    return StateMachine("recorder", delta, MV, init, emit, transition,
+                        lambda state: len(state[2]) == rounds)
+
+
+@pytest.mark.parametrize("delta,graph,colours", INSTANCES)
+def test_wrapper_delivers_the_multisets_of_a_direct_run(delta, graph,
+                                                        colours):
+    recorder = _recorder(delta)
+    direct = local_outputs(execute(recorder, graph, colours, max_rounds=4))
+    sim = local_outputs(execute(mv_by_sv(recorder), graph, colours,
+                                max_rounds=4 + gather_rounds(delta)))
+    assert sim == direct
+    for state in sim.values():
+        for items in state[2]:
+            assert sum(n for _, n in items) == delta
+            assert all(n > 0 for _, n in items), items

@@ -1,13 +1,14 @@
 from svmv.executor import execute
 from svmv.families import build_collapsed
 from svmv.graphs import PortNumberedGraph
-from svmv.views import canonical_sv, view_root
+from svmv.views import canonical_sv, view
 
 
 def test_views_are_interned():
-    assert view_root(3, "B") is view_root(3, "B")
-    assert view_root(3, "B") is not view_root(3, "W")
-    assert view_root(2, None).digest == view_root(2, None).digest
+    assert view(3, "B", 0, frozenset()) is view(3, "B", 0, frozenset())
+    assert view(3, "B", 0, frozenset()) is not view(3, "W", 0, frozenset())
+    assert view(2, None, 0, frozenset()).digest == \
+        view(2, None, 0, frozenset()).digest
 
 
 def test_star_centre_sees_three_distinct_children():
