@@ -18,7 +18,7 @@ from .families import (DEFAULT_MAX_NODES, FamilyView, build_ball, build_full,
                        family_collapse, format_path, parse_path,
                        validate_path)
 from .graphs import PortNumberedGraph
-from .problem import check_pi, solve_pi_mv
+from .problem import COLOURS, check_pi, solve_pi_mv
 from .reproduce import rows_to_csv, run_reproduction
 from .simulate import multiset_echo, run_simulation
 from .experiments import run_theorem1, run_theorem2
@@ -126,6 +126,13 @@ def cmd_check_pi(args) -> int:
     graph = _load_graph(args.graph)
     with open(args.candidate) as fh:
         candidate = json.load(fh)
+    # Π judges a node-to-colour map on a B/W/G-coloured graph.
+    if not isinstance(candidate, dict):
+        raise FormatError(f"{args.candidate}: not a JSON object of colours")
+    for v in graph.nodes:
+        if graph.colour(v) not in COLOURS:
+            raise FormatError(f"{args.graph}: node {v!r} has colour "
+                              f"{graph.colour(v)!r}, not B, W or G")
     ok, violation = check_pi(graph, graph.colours, candidate)
     _write_json(args.out, {"ok": ok, "violation": violation})
     return EXIT_OK if ok else EXIT_CRITERION

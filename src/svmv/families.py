@@ -438,10 +438,9 @@ def build_ball(family: str, d: int, center: Path, radius: int,
     return graph
 
 
-def build_full(family: str, d: int,
-               max_nodes: int = DEFAULT_MAX_NODES) -> PortNumberedGraph:
+def build_full(family: str, d: int) -> PortNumberedGraph:
     """The whole tree: the radius-2d ball around the root."""
-    return build_ball(family, d, ROOT, 2 * d, max_nodes=max_nodes)
+    return build_ball(family, d, ROOT, 2 * d)
 
 
 def build_collapsed(family: str, d: int) -> PortNumberedGraph:

@@ -1,15 +1,16 @@
 """Seeded property suites over the constructions and the checker.
 
-Each suite draws its cases from one deterministic generator, so a given
-seed always exercises the same instances.  Suites return a result record
-instead of asserting, which lets both the test suite and the reproduction
-command consume them.
+Each suite is a generator over one seeded ``random.Random`` that yields a
+message per failure instead of asserting.  :func:`run_all_suites`, the only
+driver, seeds each suite from the base seed and its name, so a seed always
+exercises the same instances; it runs every case and keeps the first 11
+failures for both the test suite and the reproduction command.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 
 from .bisim import BisimCache, MaterializedView, PointedInstance, bisimilar, \
     max_bisim_radius
@@ -25,29 +26,8 @@ from .walks import successor
 # full-information machine on every case, so it draws fewer.
 CASES = 500
 AGREEMENT_CASES = 50
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def note(self, message: str):
-        if len(self.failures) < 10:
-            self.failures.append(message)
-        elif len(self.failures) == 10:
-            self.failures.append("... more failures suppressed")
-
-    def summary(self) -> str:
-        if self.ok:
-            return f"{self.cases} cases, all held"
-        return f"{self.cases} cases, {len(self.failures)}+ failures: " \
-               f"{self.failures[0]}"
+# Failures kept per suite; a failing row reads "11+ failures".
+KEPT_FAILURES = 11
 
 
 def _random_path(rng, family: str, d: int, max_depth: int | None = None,
@@ -64,12 +44,10 @@ def _random_path(rng, family: str, d: int, max_depth: int | None = None,
     return v
 
 
-def degree_law_suite(seed: int) -> SuiteResult:
+def degree_law_suite(rng) -> Iterator[str]:
     """Degrees are {1, d} in the plain family and {1, d, 2d-1} in the
     coloured ones; each tree embeds in the next parameter's tree with its
     child lists as prefixes."""
-    rng = random.Random(derive_seed(seed, "degree-law"))
-    result = SuiteResult("degree-law", CASES)
     for _ in range(CASES):
         family = rng.choice(("g", "hb", "hw"))
         d = rng.randint(2, 5)
@@ -78,34 +56,31 @@ def degree_law_suite(seed: int) -> SuiteResult:
         actual = len(kids) + (1 if v else 0)
         expected = node_degree(family, v, d)
         if actual != expected:
-            result.note(f"{family} d={d} {v}: degree {actual} != {expected}")
+            yield f"{family} d={d} {v}: degree {actual} != {expected}"
         allowed = {1, d} if family == "g" else {1, d, 2 * d - 1}
         if expected not in allowed:
-            result.note(f"{family} d={d} {v}: degree {expected} outside "
-                        f"{sorted(allowed)}")
+            yield (f"{family} d={d} {v}: degree {expected} outside "
+                   f"{sorted(allowed)}")
         grown = children(family, v, d + 1)
         if family == "g":
             # New labels are always picked last, so the child list nests as
             # a prefix; in the coloured families the same-colour block grows
             # and shifts the flip block, leaving set containment.
             if grown[:len(kids)] != kids:
-                result.note(f"{family} d={d} {v}: children not a prefix of "
-                            f"the d+1 children")
+                yield (f"{family} d={d} {v}: children not a prefix of "
+                       f"the d+1 children")
         elif not set(kids) <= set(grown):
-            result.note(f"{family} d={d} {v}: children not contained in the "
-                        f"d+1 children")
-    return result
+            yield (f"{family} d={d} {v}: children not contained in the "
+                   f"d+1 children")
 
 
-def label_uniqueness_suite(seed: int) -> SuiteResult:
+def label_uniqueness_suite(rng) -> Iterator[str]:
     """A node never reuses an outgoing label, and in the plain family no
     two neighbours of a node write the same label towards it.
 
     The per-label neighbour uniqueness is plain-family only: a grey node's
     same-colour and flip-colour child blocks share back-labels by design.
     """
-    rng = random.Random(derive_seed(seed, "label-uniqueness"))
-    result = SuiteResult("label-uniqueness", CASES)
     for _ in range(CASES):
         family = rng.choice(("g", "hb", "hw"))
         d = rng.randint(2, 5)
@@ -114,22 +89,19 @@ def label_uniqueness_suite(seed: int) -> SuiteResult:
         if family == "g":
             back = [lab for _, lab in view.back_edges(v)]
             if len(set(back)) != len(back):
-                result.note(f"d={d} {v}: duplicate back-labels {back}")
+                yield f"d={d} {v}: duplicate back-labels {back}"
         out = [view.out_label(v, u) for u in view.neighbours(v)]
         if len(set(out)) != len(out):
-            result.note(f"{family} d={d} {v}: duplicate out-labels {out}")
+            yield f"{family} d={d} {v}: duplicate out-labels {out}"
         if family == "g" and {0, 1} <= set(out):
             # This is what keeps the 0 -> 1 collapse injective per node.
-            result.note(f"d={d} {v}: carries both 0 and 1")
-    return result
+            yield f"d={d} {v}: carries both 0 and 1"
 
 
-def back_label_coverage_suite(seed: int) -> SuiteResult:
+def back_label_coverage_suite(rng) -> Iterator[str]:
     """At internal plain-tree nodes the incoming back-labels cover 1..d at
     odd depth, and {0..d-1} or {0..d-2, d} at even depth, where a back-label
     of d can only come from the parent."""
-    rng = random.Random(derive_seed(seed, "back-label-coverage"))
-    result = SuiteResult("back-label-coverage", CASES)
     for _ in range(CASES):
         d = rng.randint(2, 5)
         view = FamilyView("g", d)
@@ -137,15 +109,14 @@ def back_label_coverage_suite(seed: int) -> SuiteResult:
         labels = {lab for _, lab in view.back_edges(v)}
         if len(v) % 2 == 1:
             if labels != set(range(1, d + 1)):
-                result.note(f"d={d} {v}: odd coverage {sorted(labels)}")
+                yield f"d={d} {v}: odd coverage {sorted(labels)}"
         else:
             low = set(range(0, d))
             high = set(range(0, d - 1)) | {d}
             if labels not in (low, high):
-                result.note(f"d={d} {v}: even coverage {sorted(labels)}")
+                yield f"d={d} {v}: even coverage {sorted(labels)}"
             if d in labels and successor(view, v, d) != v[:-1]:
-                result.note(f"d={d} {v}: back-label d not from the parent")
-    return result
+                yield f"d={d} {v}: back-label d not from the parent"
 
 
 def _instance_pool(rng, pool_size: int) -> list[PointedInstance]:
@@ -171,38 +142,30 @@ def _instance_pool(rng, pool_size: int) -> list[PointedInstance]:
             for _ in range(pool_size)]
 
 
-def bisim_monotonicity_suite(seed: int) -> SuiteResult:
+def bisim_monotonicity_suite(rng) -> Iterator[str]:
     """Bisimilarity at radius r implies it at every smaller radius."""
-    rng = random.Random(derive_seed(seed, "bisim-monotonicity"))
-    result = SuiteResult("bisim-monotonicity", CASES)
     for _ in range(CASES):
         a, b = _instance_pool(rng, 2)
         top = rng.randint(1, 5)
         flags = [bisimilar(a, b, r, BisimCache()) for r in range(top + 1)]
         for lo, hi in zip(flags, flags[1:]):
             if hi and not lo:
-                result.note(f"{a.point} vs {b.point}: held at a larger "
-                            f"radius but not a smaller one ({flags})")
+                yield (f"{a.point} vs {b.point}: held at a larger "
+                       f"radius but not a smaller one ({flags})")
                 break
-    return result
 
 
-def bisim_symmetry_suite(seed: int) -> SuiteResult:
+def bisim_symmetry_suite(rng) -> Iterator[str]:
     """bisimilar(a, b, r) agrees with bisimilar(b, a, r)."""
-    rng = random.Random(derive_seed(seed, "bisim-symmetry"))
-    result = SuiteResult("bisim-symmetry", CASES)
     for _ in range(CASES):
         a, b = _instance_pool(rng, 2)
         r = rng.randint(0, 4)
         if bisimilar(a, b, r) != bisimilar(b, a, r):
-            result.note(f"{a.point} vs {b.point} at r={r}: asymmetric")
-    return result
+            yield f"{a.point} vs {b.point} at r={r}: asymmetric"
 
 
-def bisim_transitivity_suite(seed: int) -> SuiteResult:
+def bisim_transitivity_suite(rng) -> Iterator[str]:
     """Wherever a~b and b~c hold at radius r, a~c holds too."""
-    rng = random.Random(derive_seed(seed, "bisim-transitivity"))
-    result = SuiteResult("bisim-transitivity", CASES)
     for _ in range(CASES):
         pool = _instance_pool(rng, 4)
         r = rng.randint(0, 3)
@@ -215,17 +178,14 @@ def bisim_transitivity_suite(seed: int) -> SuiteResult:
             for j in range(len(pool)):
                 for k in range(len(pool)):
                     if related[i, j] and related[j, k] and not related[i, k]:
-                        result.note(
+                        yield (
                             f"r={r}: {pool[i].point} ~ {pool[j].point} ~ "
                             f"{pool[k].point} but ends unrelated")
-    return result
 
 
-def collapse_preservation_suite(seed: int) -> SuiteResult:
+def collapse_preservation_suite(rng) -> Iterator[str]:
     """Bisimilarity under the generalised numbering survives the collapse
     onto plain integer ports."""
-    rng = random.Random(derive_seed(seed, "collapse-preservation"))
-    result = SuiteResult("collapse-preservation", CASES)
     for _ in range(CASES):
         d = rng.randint(2, 3)
         if rng.random() < 0.5:
@@ -246,17 +206,14 @@ def collapse_preservation_suite(seed: int) -> SuiteResult:
             collapsed = bisimilar(PointedInstance(ca, x),
                                   PointedInstance(cb, y), r)
             if not collapsed:
-                result.note(f"{fam_a}/{fam_b} d={d} r={r}: {x} ~ {y} held "
-                            f"generalised but broke under the collapse")
-    return result
+                yield (f"{fam_a}/{fam_b} d={d} r={r}: {x} ~ {y} held "
+                       f"generalised but broke under the collapse")
 
 
-def executor_agreement_suite(seed: int) -> SuiteResult:
+def executor_agreement_suite(rng) -> Iterator[str]:
     """The checker and the executor tell the same story: points r-bisimilar
     exactly as long as the full-information machine keeps their states
     equal, checked through the first failing radius when one exists."""
-    rng = random.Random(derive_seed(seed, "executor-agreement"))
-    result = SuiteResult("executor-agreement", AGREEMENT_CASES)
     prepared = []
 
     for d in (2, 3):
@@ -296,29 +253,35 @@ def executor_agreement_suite(seed: int) -> SuiteResult:
         limit = cap if radius is None else radius
         for r in range(0, limit + 1):
             if traces[0].state(r, x) != traces[1].state(r, y):
-                result.note(f"{x!r} vs {y!r}: bisimilar to radius {limit} "
-                            f"but states split at round {r}")
+                yield (f"{x!r} vs {y!r}: bisimilar to radius {limit} "
+                       f"but states split at round {r}")
                 break
         else:
             if radius is not None and radius < cap:
                 fail = radius + 1
                 if traces[0].state(fail, x) == traces[1].state(fail, y):
-                    result.note(f"{x!r} vs {y!r}: radius {radius} reported "
-                                f"but states still equal at round {fail}")
-    return result
+                    yield (f"{x!r} vs {y!r}: radius {radius} reported "
+                           f"but states still equal at round {fail}")
 
 
 ALL_SUITES = (
-    degree_law_suite,
-    label_uniqueness_suite,
-    back_label_coverage_suite,
-    bisim_monotonicity_suite,
-    bisim_symmetry_suite,
-    bisim_transitivity_suite,
-    collapse_preservation_suite,
-    executor_agreement_suite,
+    ("degree-law", CASES, degree_law_suite),
+    ("label-uniqueness", CASES, label_uniqueness_suite),
+    ("back-label-coverage", CASES, back_label_coverage_suite),
+    ("bisim-monotonicity", CASES, bisim_monotonicity_suite),
+    ("bisim-symmetry", CASES, bisim_symmetry_suite),
+    ("bisim-transitivity", CASES, bisim_transitivity_suite),
+    ("collapse-preservation", CASES, collapse_preservation_suite),
+    ("executor-agreement", AGREEMENT_CASES, executor_agreement_suite),
 )
 
 
-def run_all_suites(seed: int) -> list[SuiteResult]:
-    return [suite(seed) for suite in ALL_SUITES]
+def run_all_suites(seed: int) -> list[tuple[str, int, list[str]]]:
+    """``(name, cases, failures)`` per suite, each suite seeded from ``seed``
+    and its name, with at most :data:`KEPT_FAILURES` failures kept."""
+    results = []
+    for name, cases, suite in ALL_SUITES:
+        # list() runs every case, so a later case's exception still surfaces.
+        failures = list(suite(random.Random(derive_seed(seed, name))))
+        results.append((name, cases, failures[:KEPT_FAILURES]))
+    return results

@@ -4,15 +4,24 @@ The rows come from the same functions the `reproduce` command uses, so a
 green run here matches a zero exit of `svmv reproduce`.
 """
 
+import hashlib
+import json
+import random
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
+from svmv import propsuite
 from svmv.errors import ResourceLimitError
 from svmv.families import build_full
 from svmv.reproduce import (bisim_radius_rows, caps_row, collapse_audit_rows,
                             property_rows, psw_rows, psw_witness_row,
                             simulation_rows, theorem1_rows, theorem2_rows)
+from svmv.util import derive_seed
 
 SEED = 0
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _check(rows):
@@ -56,12 +65,57 @@ def test_criterion_7_property_suites():
     _check(property_rows(SEED))
 
 
+def test_property_suites_draw_the_pinned_values(monkeypatch):
+    # Passing suites read only "all held", so the draws are what pins the
+    # cases each suite checks.  Every generator the suites seed counts and
+    # hashes the values it hands out, filed under its seed.
+    logs = {}
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            self.log = logs.setdefault(seed, [0, hashlib.sha256()])
+            super().__init__(seed)
+
+        def _note(self, value):
+            self.log[0] += 1
+            self.log[1].update(repr(value).encode())
+            return value
+
+        def random(self):
+            return self._note(super().random())
+
+        def getrandbits(self, k):
+            return self._note(super().getrandbits(k))
+
+    monkeypatch.setattr(propsuite, "random", SimpleNamespace(Random=Recording))
+    propsuite.run_all_suites(SEED)
+    golden = json.loads((GOLDEN / "propsuite_draws_seed0.json").read_text())
+    seen = {}
+    for name in golden:
+        count, digest = logs[derive_seed(SEED, name)]
+        seen[name] = {"draws": count, "sha256": digest.hexdigest()}
+    assert seen == golden
+
+
+def test_a_failing_property_suite_reports_its_first_failure(monkeypatch):
+    # Every degree-law case now disagrees with the patched law, twice.
+    monkeypatch.setattr(propsuite, "node_degree", lambda family, v, d: 0)
+    first, *others = property_rows(SEED)
+    assert first.criterion == "property-degree-law"
+    assert not first.passed
+    assert first.observed == (
+        "500 cases, 11+ failures: hw d=2 ((2, 1, 'B'), (2, 1, 'G'), "
+        "(2, 1, 'W')): degree 2 != 0")
+    assert len(others) == 7
+    assert all(row.passed for row in others)
+
+
 def test_criterion_8_desk_scale_caps_documented():
     row = caps_row()
     _check([row])
     assert "d>=6" in row.observed
     with pytest.raises(ResourceLimitError):
-        build_full("g", 6, max_nodes=10_000)
+        build_full("g", 6)
 
 
 def test_collapse_audit_rows_hold():

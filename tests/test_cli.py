@@ -25,6 +25,8 @@ EDGE_GRAPH = {
     "edges": [{"u": "x", "v": "y", "port_uv": "1", "port_vu": "1"}],
     "proper": True,
 }
+# The same edge with no colours: outside Π's B/W/G inputs.
+UNCOLOURED_GRAPH = {**EDGE_GRAPH, "nodes": [{"id": "x"}, {"id": "y"}]}
 
 
 def test_build_small_plain_tree(tmp_path, capsys):
@@ -229,6 +231,14 @@ def test_reproduce_csv_deterministic_for_fixed_seed(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_default_reproduce_csv_matches_golden(tmp_path):
+    # The default table: psw d=2..5, the d=5 witness and every later row.
+    out = tmp_path / "rows.csv"
+    assert main(["reproduce", "--seed", "0", "--out", str(out)]) == 0
+    golden = GOLDEN / "reproduce_seed0.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 # Outputs of the lazy layer (walk search and bisimilarity); a change that
 # alters any byte of them must replace the files on purpose.
 LAZY_GOLDEN = [(f"psw_d{d}.json", ["psw", "--d", str(d)]) for d in (2, 3, 4, 5)]
@@ -326,6 +336,25 @@ def test_malformed_candidate_is_usage_error(tmp_path):
          str(candidate)], cwd=tmp_path, hash_seed="0"))
 
 
+@pytest.mark.parametrize("graph, candidate", [
+    (EDGE_GRAPH, []),
+    (UNCOLOURED_GRAPH, {"x": "W", "y": "B"}),
+    ({**EDGE_GRAPH, "nodes": [{"id": "x", "colour": "B"},
+                              {"id": "y", "colour": "Q"}]}, {"x": "Q"}),
+], ids=["list-candidate", "uncoloured-graph", "unknown-colour"])
+def test_check_pi_outside_its_inputs_is_usage_error(tmp_path, graph,
+                                                     candidate):
+    # A candidate that is JSON but not a node-to-colour map, and graphs
+    # whose nodes are not all coloured B, W or G.
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(graph))
+    candidate_file = tmp_path / "candidate.json"
+    candidate_file.write_text(json.dumps(candidate))
+    _assert_usage_error(_run_cli(
+        ["check-pi", "--graph", str(graph_file), "--candidate",
+         str(candidate_file)], cwd=tmp_path, hash_seed="0"))
+
+
 @pytest.mark.parametrize("args", [
     ["bisim", "--family", "g", "--d", "3", "--radius", "2",
      "--a", "(9,9)", "--b", "(1,0)"],
@@ -361,7 +390,7 @@ FAMILY_NAMES = ["g", "hb", "hw", "q"]
 PATHS = ["()", "(1,0)", "(2,1)", "(1,0)/(2,2)", "(1,0,B)", "(2,1,W)/(2,2,G)",
          "(9,9)", "1,0"]
 FILES = ["@graph.json", "@candidate.json", "@malformed.json", "@missing.json",
-         "@."]
+         "@.", "@list.json", "@uncoloured.json"]
 ARGV_SPACE = {
     "build": {"--family": FAMILY_NAMES, "--d": NUMBERS, "--radius": NUMBERS,
               "--center": PATHS, "--collapse": None,
@@ -404,6 +433,8 @@ def argv_dir(tmp_path_factory):
     (root / "graph.json").write_text(json.dumps(EDGE_GRAPH))
     (root / "candidate.json").write_text(json.dumps({"x": "W", "y": "B"}))
     (root / "malformed.json").write_text("{")
+    (root / "list.json").write_text("[]")
+    (root / "uncoloured.json").write_text(json.dumps(UNCOLOURED_GRAPH))
     return root
 
 

@@ -227,8 +227,9 @@ def test_ball_is_a_tree_with_full_interior(family, d):
 
 
 def test_ball_node_cap():
+    # The whole g tree has 366,210,937 nodes at d=6, past the default cap.
     with pytest.raises(ResourceLimitError):
-        build_full("g", 6, max_nodes=10_000)
+        build_full("g", 6)
 
 
 def test_path_syntax_round_trip():
