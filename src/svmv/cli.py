@@ -13,7 +13,8 @@ import json
 import sys
 
 from .bisim import PointedInstance, max_bisim_radius
-from .errors import FormatError, ResourceLimitError, SvmvError
+from .errors import (FormatError, NumberingError, ResourceLimitError,
+                     SvmvError)
 from .families import (DEFAULT_MAX_NODES, FamilyView, build_ball, build_full,
                        family_collapse, format_path, parse_path,
                        validate_path)
@@ -116,6 +117,20 @@ def cmd_simulate(args) -> int:
     graph = _load_graph(args.graph)
     delta = max(1, graph.max_degree())
     inner = INNER_MACHINES[args.inner](delta)
+    # A graph the machines cannot run on is outside the model, not a failed
+    # simulation: integer ports in 1..delta, inputs in the inner alphabet.
+    # The run plan checks the ports, and the runs below reuse it.
+    try:
+        graph.run_plan(delta)
+    except NumberingError as exc:
+        raise FormatError(f"{args.graph}: {exc}") from exc
+    if inner.input_alphabet is not None:
+        for v in graph.nodes:
+            if graph.colour(v) not in inner.input_alphabet:
+                raise FormatError(
+                    f"{args.graph}: node {v!r} has input "
+                    f"{graph.colour(v)!r}; --inner {args.inner} takes "
+                    f"{', '.join(sorted(inner.input_alphabet))}")
     report = run_simulation(inner, graph, graph.colours or None,
                             max_rounds=args.max_rounds)
     _write_json(args.out, report.to_json_dict())

@@ -80,7 +80,8 @@ class ExecutionTrace:
             flat = tuple(map(emit, map(row.__getitem__, plan.senders),
                              plan.ports))
             out.append(dict(zip(plan.nodes, map(add, map(flat.__getitem__,
-                                                         plan.slots), pads))))
+                                                         plan.slices()),
+                                                     pads))))
         return out
 
     def rounds(self) -> int:
@@ -131,7 +132,7 @@ class _Partition:
         canonical, pads, prev = self.canonical, self._pads, self.rounds[-1][0]
         codes = list(map(add, map(prev.__getitem__, plan.senders), plan.ports))
         row, ids = self._number(zip(prev, map(canonical, map(codes.__getitem__,
-                                                             plan.slots))))
+                                                             plan.slices()))))
         pairs = tuple(dict.fromkeys(codes))
         ports = tuple(map(mod, pairs, repeat(self.width, len(pairs))))
         self.rounds.append((row, [(cid, (p, canonical((*pads[p], *got))))

@@ -95,6 +95,8 @@ def run_theorem2(d: int) -> dict:
     Records root-state equality of the full-information machine on the
     black-rooted vs white-rooted instance, the forced root answers of the
     majority-colour problem, and the one-round multiset solver's results.
+    Each tree is built, run and judged by :func:`_coloured_root` before
+    the next is built, so one tree and its run plan are alive at a time.
     """
     if d < 2:
         raise FormatError(f"d must be >= 2 (got {d})")
@@ -103,45 +105,23 @@ def run_theorem2(d: int) -> dict:
             f"full coloured-tree runs are capped at d <= 3 (got {d})")
     t0 = time.perf_counter()
     delta = 2 * d - 1
-    graph_b = build_collapsed("hb", d)
-    graph_w = build_collapsed("hw", d)
     horizon = 4 * d - 3
-    machine = canonical_sv(delta)
-    trace_b = execute(machine, graph_b, max_rounds=horizon)
-    trace_w = execute(machine, graph_w, max_rounds=horizon)
-    rows = []
-    for r in range(horizon + 1):
-        sb = trace_b.state(r, ROOT)
-        sw = trace_w.state(r, ROOT)
-        rows.append({"r": r, "root_b": stable_fingerprint(sb),
-                     "root_w": stable_fingerprint(sw), "equal": sb == sw})
+    nodes_b, states_b, allowed_b, solved_b = _coloured_root("hb", d, horizon)
+    nodes_w, states_w, allowed_w, solved_w = _coloured_root("hw", d, horizon)
+    rows = [{"r": r, "root_b": stable_fingerprint(sb),
+             "root_w": stable_fingerprint(sw), "equal": sb == sw}
+            for r, (sb, sw) in enumerate(zip(states_b, states_w))]
     equal_through, first_diff = _agreement(rows)
-
-    allowed_b = sorted(pi_allowed(graph_b, graph_b.colours, ROOT))
-    allowed_w = sorted(pi_allowed(graph_w, graph_w.colours, ROOT))
-
-    solver = solve_pi_mv(delta)
-    solver_result = {}
-    for tag, graph in (("b", graph_b), ("w", graph_w)):
-        trace = execute(solver, graph, max_rounds=4)
-        outputs = {v: output_colour(s) for v, s in local_outputs(trace).items()}
-        ok, violation = check_pi(graph, graph.colours, outputs)
-        solver_result[tag] = {
-            "rounds": trace.stopped_round,
-            "accepted": ok,
-            "violation": violation,
-            "root_output": outputs[ROOT],
-        }
 
     report = {
         "d": d,
         "delta": delta,
-        "nodes": [len(graph_b.nodes), len(graph_w.nodes)],
+        "nodes": [nodes_b, nodes_w],
         "rounds": rows,
         "equal_through": equal_through,
         "first_difference_round": first_diff,
         "pi_allowed_at_roots": {"b": allowed_b, "w": allowed_w},
-        "mv_solver": solver_result,
+        "mv_solver": {"b": solved_b, "w": solved_w},
         "conclusion": (
             f"the roots are indistinguishable to any set-reception machine "
             f"through round {equal_through}, yet their forced answers are "
@@ -151,3 +131,25 @@ def run_theorem2(d: int) -> dict:
         "timings_ms": round(1000 * (time.perf_counter() - t0), 3),
     }
     return report
+
+
+def _coloured_root(family: str, d: int, horizon: int):
+    """``(nodes, root states, allowed, solver result)`` on one coloured
+    tree: its node count, the root's ``canonical_sv`` state in rounds
+    0..horizon, the colours Π allows at the root, and how the one-round
+    multiset solver fares on the whole tree."""
+    delta = 2 * d - 1
+    graph = build_collapsed(family, d)
+    trace = execute(canonical_sv(delta), graph, max_rounds=horizon)
+    states = [trace.state(r, ROOT) for r in range(horizon + 1)]
+    allowed = sorted(pi_allowed(graph, graph.colours, ROOT))
+    trace = execute(solve_pi_mv(delta), graph, max_rounds=4)
+    outputs = {v: output_colour(s) for v, s in local_outputs(trace).items()}
+    ok, violation = check_pi(graph, graph.colours, outputs)
+    solved = {
+        "rounds": trace.stopped_round,
+        "accepted": ok,
+        "violation": violation,
+        "root_output": outputs[ROOT],
+    }
+    return len(graph.nodes), states, allowed, solved

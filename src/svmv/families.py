@@ -400,10 +400,12 @@ def build_ball(family: str, d: int, center: Path, radius: int,
     """Induced subgraph on the nodes within ``radius`` of ``center``.
 
     Generalised ports, or with ``collapse`` the collapsed ones, and (for
-    coloured families) the colouring are attached.  Every node's full-tree
-    degree is recorded in ``true_degree`` so consumers can detect boundary
-    truncation.  A ball that would pass ``max_nodes`` is refused from its
-    exact size, :func:`ball_size`, before a node is built.
+    coloured families) the colouring are attached.  Nodes inside the radius
+    keep every edge; a node on the boundary whose full-tree degree exceeds
+    what the ball keeps of it has that degree recorded in ``true_degree``,
+    so ``declared_degree`` reads the full-tree degree of every node and a
+    whole tree records none.  A ball that would pass ``max_nodes`` is
+    refused from its exact size, :func:`ball_size`, before a node is built.
     """
     if radius < 0:
         raise FormatError("radius must be >= 0")
@@ -415,12 +417,15 @@ def build_ball(family: str, d: int, center: Path, radius: int,
     lazy = FamilyView(family, d, collapse)
     graph = PortNumberedGraph()
     graph.add_node(center, node_colour(family, center))
-    graph.true_degree[center] = lazy.degree(center)
     seen = {center}
     frontier = deque([(center, 0)])
     while frontier:
         v, dist = frontier.popleft()
         if dist == radius:
+            # Every edge of v but the one to its BFS parent is cut off.
+            degree = lazy.degree(v)
+            if degree != graph.degree(v):
+                graph.true_degree[v] = degree
             continue
         for u, label in lazy.back_edges(v):
             # The families are trees, so the one neighbour seen before is
@@ -429,7 +434,6 @@ def build_ball(family: str, d: int, center: Path, radius: int,
                 continue
             seen.add(u)
             graph.add_node(u, node_colour(family, u))
-            graph.true_degree[u] = lazy.degree(u)
             frontier.append((u, dist + 1))
             if len(v) < len(u):
                 graph.add_edge(v, u, lazy.out_label(v, u), label)

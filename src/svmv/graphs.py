@@ -13,6 +13,7 @@ tree holds one label dict per node.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import Any, Callable, Iterable
 
 from .errors import DegreeBoundError, FormatError, NumberingError
@@ -21,9 +22,10 @@ from .errors import DegreeBoundError, FormatError, NumberingError
 class PortNumberedGraph:
     """Finite simple undirected graph with per-edge directional port labels.
 
-    ``true_degree`` optionally records the degree a node has in the full
-    (non-truncated) structure a ball was cut from; consumers that need exact
-    answers consult it to detect truncation.
+    ``true_degree`` records the degree a node has in the full structure a
+    ball was cut from, for the nodes the ball cuts edges from; consumers
+    that need exact answers read :meth:`declared_degree` to detect
+    truncation.
     """
 
     def __init__(self):
@@ -243,12 +245,14 @@ class RunPlan:
     Node ``i`` is ``nodes[i]`` (``index[nodes[i]] == i``) with degree
     ``degrees[i]``.  Edge ends are laid out flat, grouped by receiver in
     node order and, per receiver, in in-port order: slot ``k`` carries what
-    ``nodes[senders[k]]`` writes on out-port ``ports[k]``, and ``slots[i]``
-    is the slice of node ``i``'s slots.  ``partitions`` is the executor's
-    cache of node partitions per reception class, dropped with the plan.
+    ``nodes[senders[k]]`` writes on out-port ``ports[k]``, and node ``i``'s
+    slots run from ``bounds[i]`` up to ``bounds[i + 1]``; a pass that needs
+    per-node slices cuts them from the bounds (:meth:`slices`) and drops
+    them.  ``partitions`` is the executor's cache of node partitions per
+    reception class, dropped with the plan.
     """
 
-    __slots__ = ("nodes", "index", "degrees", "senders", "ports", "slots",
+    __slots__ = ("nodes", "index", "degrees", "senders", "ports", "bounds",
                  "partitions")
 
     def __init__(self, graph: PortNumberedGraph, delta: int):
@@ -259,18 +263,22 @@ class RunPlan:
         self.nodes = tuple(graph._order)
         self.degrees = tuple(len(graph._out[v]) for v in self.nodes)
         index = self.index = {v: i for i, v in enumerate(self.nodes)}
-        senders, ports, slots = [], [], []
+        senders, ports, bounds = [], [], [0]
         for v in self.nodes:
-            start = len(senders)
             in_ports = graph._in[v]
             for u in sorted(in_ports, key=in_ports.__getitem__):
                 senders.append(index[u])
                 ports.append(graph._out[u][v])
-            slots.append(slice(start, len(senders)))
+            bounds.append(len(senders))
         self.senders = tuple(senders)
         self.ports = tuple(ports)
-        self.slots = tuple(slots)
+        self.bounds = tuple(bounds)
         self.partitions: dict = {}
+
+    def slices(self):
+        """Each node's slot slice, in node order, made on the fly."""
+        bounds = self.bounds
+        return map(slice, bounds, islice(bounds, 1, None))
 
 
 def _default_node_fmt(v) -> str:

@@ -1,16 +1,19 @@
 """Seeded property suites over the constructions and the checker.
 
-Each suite is a generator over one seeded ``random.Random`` that yields a
-message per failure instead of asserting.  :func:`run_all_suites`, the only
-driver, seeds each suite from the base seed and its name, so a seed always
-exercises the same instances; it runs every case and keeps the first 11
-failures for both the test suite and the reproduction command.
+Each suite is a generator over one seeded ``random.Random`` and a
+``views(family, d, collapsed=False)`` that hands out the run's one
+``FamilyView`` per tree; it yields a message per failure instead of
+asserting.  :func:`run_all_suites`, the only driver, seeds each suite from
+the base seed and its name, so a seed always exercises the same instances;
+it runs every case and keeps the first 11 failures for both the test suite
+and the reproduction command.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from functools import cache
 
 from .bisim import BisimCache, MaterializedView, PointedInstance, bisimilar, \
     max_bisim_radius
@@ -30,12 +33,15 @@ AGREEMENT_CASES = 50
 KEPT_FAILURES = 11
 
 
-def _random_path(rng, family: str, d: int, max_depth: int | None = None,
+def _random_path(rng, view: FamilyView, max_depth: int | None = None,
                  first_step=None):
-    depth = rng.randint(0, 2 * d if max_depth is None else max_depth)
+    """A node of ``view``'s tree: a uniform depth, then uniform children
+    (in rule order, the first step only among those ``first_step`` keeps)
+    until the depth or a leaf is reached."""
+    depth = rng.randint(0, 2 * view.d if max_depth is None else max_depth)
     v = ROOT
     for level in range(depth):
-        kids = children(family, v, d)
+        kids = [u for u, _ in view.back_edges(v) if len(u) > len(v)]
         if level == 0 and first_step is not None:
             kids = [k for k in kids if first_step(k[-1])]
         if not kids:
@@ -44,14 +50,14 @@ def _random_path(rng, family: str, d: int, max_depth: int | None = None,
     return v
 
 
-def degree_law_suite(rng) -> Iterator[str]:
+def degree_law_suite(rng, views) -> Iterator[str]:
     """Degrees are {1, d} in the plain family and {1, d, 2d-1} in the
     coloured ones; each tree embeds in the next parameter's tree with its
     child lists as prefixes."""
     for _ in range(CASES):
         family = rng.choice(("g", "hb", "hw"))
         d = rng.randint(2, 5)
-        v = _random_path(rng, family, d)
+        v = _random_path(rng, views(family, d))
         kids = children(family, v, d)
         actual = len(kids) + (1 if v else 0)
         expected = node_degree(family, v, d)
@@ -74,7 +80,7 @@ def degree_law_suite(rng) -> Iterator[str]:
                    f"d+1 children")
 
 
-def label_uniqueness_suite(rng) -> Iterator[str]:
+def label_uniqueness_suite(rng, views) -> Iterator[str]:
     """A node never reuses an outgoing label, and in the plain family no
     two neighbours of a node write the same label towards it.
 
@@ -84,8 +90,8 @@ def label_uniqueness_suite(rng) -> Iterator[str]:
     for _ in range(CASES):
         family = rng.choice(("g", "hb", "hw"))
         d = rng.randint(2, 5)
-        view = FamilyView(family, d)
-        v = _random_path(rng, family, d)
+        view = views(family, d)
+        v = _random_path(rng, view)
         if family == "g":
             back = [lab for _, lab in view.back_edges(v)]
             if len(set(back)) != len(back):
@@ -98,14 +104,14 @@ def label_uniqueness_suite(rng) -> Iterator[str]:
             yield f"d={d} {v}: carries both 0 and 1"
 
 
-def back_label_coverage_suite(rng) -> Iterator[str]:
+def back_label_coverage_suite(rng, views) -> Iterator[str]:
     """At internal plain-tree nodes the incoming back-labels cover 1..d at
     odd depth, and {0..d-1} or {0..d-2, d} at even depth, where a back-label
     of d can only come from the parent."""
     for _ in range(CASES):
         d = rng.randint(2, 5)
-        view = FamilyView("g", d)
-        v = _random_path(rng, "g", d, max_depth=2 * d - 1)
+        view = views("g", d)
+        v = _random_path(rng, view, max_depth=2 * d - 1)
         labels = {lab for _, lab in view.back_edges(v)}
         if len(v) % 2 == 1:
             if labels != set(range(1, d + 1)):
@@ -119,20 +125,20 @@ def back_label_coverage_suite(rng) -> Iterator[str]:
                 yield f"d={d} {v}: back-label d not from the parent"
 
 
-def _instance_pool(rng, pool_size: int) -> list[PointedInstance]:
+def _instance_pool(rng, views, pool_size: int) -> list[PointedInstance]:
     """Pointed instances sharing one context, tilted towards bisimilar
     pairs: tree nodes of equal depth parity, or nodes of one random graph."""
     kind = rng.randrange(3)
     if kind == 0:
         d = rng.randint(2, 3)
-        view = FamilyView("g", d)
-        points = [_random_path(rng, "g", d) for _ in range(pool_size)]
+        view = views("g", d)
+        points = [_random_path(rng, view) for _ in range(pool_size)]
         return [PointedInstance(view, p) for p in points]
     if kind == 1:
-        d = 2
-        fams = [rng.choice(("hb", "hw")) for _ in range(pool_size)]
-        return [PointedInstance(FamilyView(f, d), _random_path(rng, f, d))
-                for f in fams]
+        picked = [views(rng.choice(("hb", "hw")), 2)
+                  for _ in range(pool_size)]
+        return [PointedInstance(view, _random_path(rng, view))
+                for view in picked]
     n = rng.randint(2, 10)
     graph = random_graph(rng, n, delta=rng.randint(1, 3))
     if rng.random() < 0.5:
@@ -142,10 +148,10 @@ def _instance_pool(rng, pool_size: int) -> list[PointedInstance]:
             for _ in range(pool_size)]
 
 
-def bisim_monotonicity_suite(rng) -> Iterator[str]:
+def bisim_monotonicity_suite(rng, views) -> Iterator[str]:
     """Bisimilarity at radius r implies it at every smaller radius."""
     for _ in range(CASES):
-        a, b = _instance_pool(rng, 2)
+        a, b = _instance_pool(rng, views, 2)
         top = rng.randint(1, 5)
         flags = [bisimilar(a, b, r, BisimCache()) for r in range(top + 1)]
         for lo, hi in zip(flags, flags[1:]):
@@ -155,19 +161,19 @@ def bisim_monotonicity_suite(rng) -> Iterator[str]:
                 break
 
 
-def bisim_symmetry_suite(rng) -> Iterator[str]:
+def bisim_symmetry_suite(rng, views) -> Iterator[str]:
     """bisimilar(a, b, r) agrees with bisimilar(b, a, r)."""
     for _ in range(CASES):
-        a, b = _instance_pool(rng, 2)
+        a, b = _instance_pool(rng, views, 2)
         r = rng.randint(0, 4)
         if bisimilar(a, b, r) != bisimilar(b, a, r):
             yield f"{a.point} vs {b.point} at r={r}: asymmetric"
 
 
-def bisim_transitivity_suite(rng) -> Iterator[str]:
+def bisim_transitivity_suite(rng, views) -> Iterator[str]:
     """Wherever a~b and b~c hold at radius r, a~c holds too."""
     for _ in range(CASES):
-        pool = _instance_pool(rng, 4)
+        pool = _instance_pool(rng, views, 4)
         r = rng.randint(0, 3)
         cache = BisimCache()
         related = {}
@@ -183,9 +189,9 @@ def bisim_transitivity_suite(rng) -> Iterator[str]:
                             f"{pool[k].point} but ends unrelated")
 
 
-def collapse_preservation_suite(rng) -> Iterator[str]:
+def collapse_preservation_suite(rng, views) -> Iterator[str]:
     """Bisimilarity under the generalised numbering survives the collapse
-    onto plain integer ports."""
+    onto plain integer ports (``hb`` and ``hw`` share one collapse)."""
     for _ in range(CASES):
         d = rng.randint(2, 3)
         if rng.random() < 0.5:
@@ -193,24 +199,21 @@ def collapse_preservation_suite(rng) -> Iterator[str]:
         else:
             fam_a, fam_b = rng.choice((("hb", "hb"), ("hw", "hw"),
                                        ("hb", "hw")))
-        collapse = family_collapse(fam_a, d)
-        ga = FamilyView(fam_a, d)
-        gb = FamilyView(fam_b, d)
-        ca = FamilyView(fam_a, d, collapse)
-        cb = FamilyView(fam_b, d, collapse)
-        x = _random_path(rng, fam_a, d)
-        y = _random_path(rng, fam_b, d)
+        ga, gb = views(fam_a, d), views(fam_b, d)
+        x = _random_path(rng, ga)
+        y = _random_path(rng, gb)
         r = rng.randint(0, 2 * d)
         general = bisimilar(PointedInstance(ga, x), PointedInstance(gb, y), r)
         if general:
-            collapsed = bisimilar(PointedInstance(ca, x),
-                                  PointedInstance(cb, y), r)
+            collapsed = bisimilar(PointedInstance(views(fam_a, d, True), x),
+                                  PointedInstance(views(fam_b, d, True), y),
+                                  r)
             if not collapsed:
                 yield (f"{fam_a}/{fam_b} d={d} r={r}: {x} ~ {y} held "
                        f"generalised but broke under the collapse")
 
 
-def executor_agreement_suite(rng) -> Iterator[str]:
+def executor_agreement_suite(rng, views) -> Iterator[str]:
     """The checker and the executor tell the same story: points r-bisimilar
     exactly as long as the full-information machine keeps their states
     equal, checked through the first failing radius when one exists."""
@@ -224,7 +227,8 @@ def executor_agreement_suite(rng) -> Iterator[str]:
     d = 2
     gb, gw = build_collapsed("hb", d), build_collapsed("hw", d)
     for _ in range(6):
-        v = _random_path(rng, "hb", d, first_step=lambda s: s[0] >= 2)
+        v = _random_path(rng, views("hb", d),
+                         first_step=lambda s: s[0] >= 2)
         u = h_counterpart(v)
         prepared.append(((MaterializedView(gb), MaterializedView(gw)),
                          (gb, gw), v, u, 2 * d - 2))
@@ -278,10 +282,18 @@ ALL_SUITES = (
 
 def run_all_suites(seed: int) -> list[tuple[str, int, list[str]]]:
     """``(name, cases, failures)`` per suite, each suite seeded from ``seed``
-    and its name, with at most :data:`KEPT_FAILURES` failures kept."""
+    and its name, with at most :data:`KEPT_FAILURES` failures kept.  The
+    suites share one ``FamilyView`` per (family, d, collapsed) for the run,
+    so each tree's rule table is filled once."""
+
+    @cache
+    def views(family: str, d: int, collapsed: bool = False) -> FamilyView:
+        return FamilyView(family, d,
+                          family_collapse(family, d) if collapsed else None)
+
     results = []
     for name, cases, suite in ALL_SUITES:
         # list() runs every case, so a later case's exception still surfaces.
-        failures = list(suite(random.Random(derive_seed(seed, name))))
+        failures = list(suite(random.Random(derive_seed(seed, name)), views))
         results.append((name, cases, failures[:KEPT_FAILURES]))
     return results

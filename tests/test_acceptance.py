@@ -7,6 +7,7 @@ green run here matches a zero exit of `svmv reproduce`.
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -95,6 +96,24 @@ def test_property_suites_draw_the_pinned_values(monkeypatch):
         count, digest = logs[derive_seed(SEED, name)]
         seen[name] = {"draws": count, "sha256": digest.hexdigest()}
     assert seen == golden
+
+
+def test_property_suites_build_one_view_per_tree_per_run(monkeypatch):
+    # The suites share the run's views; building one per case made up to
+    # 864 views of a single tree.
+    built = Counter()
+
+    class Counting(propsuite.FamilyView):
+        def __init__(self, family, d, collapse=None):
+            built[family, d, collapse is not None] += 1
+            super().__init__(family, d, collapse)
+
+    monkeypatch.setattr(propsuite, "FamilyView", Counting)
+    for _ in range(2):
+        built.clear()
+        propsuite.run_all_suites(SEED)
+        assert built and set(built.values()) == {1}, built
+    assert ("g", 2, True) in built and ("hb", 3, False) in built
 
 
 def test_a_failing_property_suite_reports_its_first_failure(monkeypatch):

@@ -58,7 +58,7 @@ def test_counterpart_pairs_hold_to_two_d_minus_two(d):
     vw = FamilyView("hw", d, collapse)
     rng = random.Random(d)
     points = [ROOT] + [
-        _random_path(rng, "hb", d, first_step=lambda s: s[0] >= 2)
+        _random_path(rng, vb, first_step=lambda s: s[0] >= 2)
         for _ in range(5)]
     for v in points:
         u = h_counterpart(v)
@@ -85,13 +85,14 @@ def test_agreement_with_naive_recursion():
         if kind == 0:
             d = rng.randint(2, 3)
             view = FamilyView("g", d)
-            a = PointedInstance(view, _random_path(rng, "g", d))
-            b = PointedInstance(view, _random_path(rng, "g", d))
+            a = PointedInstance(view, _random_path(rng, view))
+            b = PointedInstance(view, _random_path(rng, view))
         elif kind == 1:
             d = 2
             fa, fb = rng.choice((("hb", "hw"), ("hb", "hb"), ("hw", "hw")))
-            a = PointedInstance(FamilyView(fa, d), _random_path(rng, fa, d))
-            b = PointedInstance(FamilyView(fb, d), _random_path(rng, fb, d))
+            va, vb = FamilyView(fa, d), FamilyView(fb, d)
+            a = PointedInstance(va, _random_path(rng, va))
+            b = PointedInstance(vb, _random_path(rng, vb))
         else:
             graph = random_graph(rng, rng.randint(2, 8), 3)
             if rng.random() < 0.5:
@@ -145,16 +146,15 @@ def test_shared_cache_matches_naive_recursion(family):
     if family == "g":
         d = 3
         view = FamilyView("g", d, family_collapse("g", d))
-        views, names = (view, view), ("g", "g")
+        views = (view, view)
     else:
         d = 2
-        names = ("hb", "hw")
         views = tuple(FamilyView(name, d, family_collapse(name, d))
-                      for name in names)
+                      for name in ("hb", "hw"))
     cache = BisimCache()
     for _ in range(12):
-        points = [rng.choice([ROOT, _random_path(rng, name, d)])
-                  for name in names]
+        points = [rng.choice([ROOT, _random_path(rng, view)])
+                  for view in views]
         a, b = (PointedInstance(view, point)
                 for view, point in zip(views, points))
         truth = [naive_bisimilar(a.view, a.point, b.view, b.point, r)

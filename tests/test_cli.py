@@ -163,6 +163,33 @@ def test_simulate_round_trip(tmp_path):
     assert doc["signature_collisions"] == 0
 
 
+@pytest.mark.parametrize("inner, collapse", [
+    ("multiset-echo", []),
+    ("pi-solver", ["--collapse"]),
+], ids=["generalised-ports", "no-colours"])
+def test_simulate_outside_the_model_is_usage_error(tmp_path, inner, collapse):
+    # An uncollapsed ball carries port label 0 and tuple labels; a g ball
+    # has no colours, so the majority-colour solver has no inputs on it.
+    base = tmp_path / "g2"
+    assert main(["build", "--family", "g", "--d", "2", "--radius", "2",
+                 "--out", str(base), *collapse]) == 0
+    _assert_usage_error(_run_cli(
+        ["simulate", "--inner", inner, "--graph", str(base) + ".json"],
+        cwd=tmp_path, hash_seed="0"))
+
+
+def test_simulate_that_does_not_halt_is_a_criterion_failure(tmp_path):
+    base = tmp_path / "g2"
+    assert main(["build", "--family", "g", "--d", "2", "--radius", "2",
+                 "--collapse", "--out", str(base)]) == 0
+    result = _run_cli(["simulate", "--inner", "multiset-echo", "--graph",
+                       str(base) + ".json", "--max-rounds", "1"],
+                      cwd=tmp_path, hash_seed="0")
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "did not halt" in result.stderr
+
+
 def test_check_pi_exit_codes(tmp_path):
     graph_file = tmp_path / "edge.json"
     graph_file.write_text(json.dumps(EDGE_GRAPH))

@@ -51,22 +51,34 @@ def test_theorem1_executes_only_the_rounds_its_rows_read(monkeypatch):
         assert rounds == [2 * delta - 2] * (1 + len(AD_HOC_SV_MACHINES))
 
 
-def test_theorem1_delta4_memory_peak():
-    # tracemalloc peak of run_theorem1(4) in a fresh interpreter, so no
-    # view is interned beforehand.  It reads about 14 MiB.  Running the
-    # unread round 2*delta - 1 reads about 18; per-node state lists in the
-    # traces and separate in- and out-label dicts per node, about 17.4.
+def _traced_peak(call: str) -> int:
+    """tracemalloc peak of ``call`` in a fresh interpreter, so no view is
+    interned beforehand."""
     root = str(Path(svmv.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     script = ("import tracemalloc\n"
-              "from svmv.experiments import run_theorem1\n"
+              "from svmv.experiments import run_theorem1, run_theorem2\n"
               "tracemalloc.start()\n"
-              "run_theorem1(4)\n"
+              f"{call}\n"
               "print(tracemalloc.get_traced_memory()[1])\n")
     done = subprocess.run([sys.executable, "-c", script], check=True,
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True)
-    assert int(done.stdout) < 17 * 2**20
+    return int(done.stdout)
+
+
+def test_theorem1_delta4_memory_peak():
+    # It reads about 12.3 MiB.  One slice object per node in the run plan
+    # and a true_degree entry for every node of the whole tree read about
+    # 13.9; running the unread round 2*delta - 1, about 18.
+    assert _traced_peak("run_theorem1(4)") < 13 * 2**20
+
+
+def test_theorem2_d3_memory_peak():
+    # It reads about 9.6 MiB.  Building both coloured trees before running
+    # either, so that two graphs, run plans and partitions are alive at
+    # once, reads about 13.4.
+    assert _traced_peak("run_theorem2(3)") < 11.5 * 2**20
 
 
 def test_root_experiment_smallest_parameter():

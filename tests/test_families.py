@@ -219,11 +219,31 @@ def test_ball_is_a_tree_with_full_interior(family, d):
             assert set(dist) == set(graph.nodes)
             for v, k in dist.items():
                 assert k <= radius
-                assert graph.true_degree[v] == lazy.degree(v)
+                assert graph.declared_degree(v) == lazy.degree(v)
                 if k < radius:
                     assert graph.degree(v) == lazy.degree(v)
                     assert sorted(graph.neighbours(v)) == \
                         sorted(lazy.neighbours(v))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [2, 3])
+def test_ball_records_true_degree_exactly_where_cut(family, d):
+    # A ball stores a full-tree degree only for the nodes it cuts edges
+    # from, so the whole tree (the root's radius-2d ball) stores none, and
+    # declared_degree still reads the full-tree degree everywhere.
+    rng = random.Random(10 + d)
+    lazy = FamilyView(family, d)
+    centres = [ROOT] + [validate_random_descent(family, d,
+                                                rng.randint(1, 2 * d), rng=rng)
+                        for _ in range(3)]
+    for centre in centres:
+        for radius in range(2 * d + 2):
+            graph = build_ball(family, d, centre, radius)
+            cut = {v for v in graph.nodes if lazy.degree(v) != graph.degree(v)}
+            assert set(graph.true_degree) == cut
+            for v in graph.nodes:
+                assert graph.declared_degree(v) == lazy.degree(v)
 
 
 def test_ball_node_cap():
