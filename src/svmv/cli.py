@@ -20,7 +20,7 @@ from .families import (DEFAULT_MAX_NODES, FamilyView, build_ball, build_full,
                        validate_path)
 from .graphs import PortNumberedGraph
 from .problem import COLOURS, check_pi, solve_pi_mv
-from .reproduce import rows_to_csv, run_reproduction
+from .reproduce import PSW_D_MAX, rows_to_csv, run_reproduction
 from .simulate import multiset_echo, run_simulation
 from .experiments import run_theorem1, run_theorem2
 from .walks import DEFAULT_MAX_PAIRS, find_critical_psw, verify_psw
@@ -62,6 +62,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_psw(args) -> int:
+    if args.d > PSW_D_MAX:
+        raise ResourceLimitError(
+            f"psw searches are capped at d <= {PSW_D_MAX} (got {args.d})")
     k, witness = find_critical_psw(args.d, max_pairs=args.max_pairs)
     audit = verify_psw(witness, args.d, allow_mirrored=True)
     payload = {

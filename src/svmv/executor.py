@@ -29,13 +29,14 @@ when first read.
 
 from __future__ import annotations
 
+from array import array
 from functools import cache, cached_property
 from itertools import repeat
 from operator import add, mod, sub
 from typing import Any
 
 from .errors import DidNotHaltError, MachineContractError, NumberingError
-from .graphs import PortNumberedGraph, RunPlan
+from .graphs import PortNumberedGraph, RunPlan, int_array
 from .machines import EPSILON, MV, StateMachine, vmset_reduce, vset_reduce
 
 
@@ -58,7 +59,7 @@ class ExecutionTrace:
         self.stopped_round: int | None = None
         self._plan = plan
         self._emit = emit
-        self._rows: list[tuple[list, dict]] = []
+        self._rows: list[tuple[array, dict]] = []
 
     def _node_states(self, r: int) -> list:
         """The states of round ``r`` in node order."""
@@ -108,19 +109,25 @@ class _Partition:
     Class ids are multiples of ``delta + 1``, numbered in order of first
     occurrence, so ``class + port`` names one (class, out-port) pair; 0
     stands for the epsilon pad.  ``rounds[r]`` is a triple: the class of
-    each node in round ``r``; each class with what fixes its nodes' states
-    (``(degree, input)`` in round 0, later its class in round ``r - 1`` and
-    the pairs and pads it receives, in ``canonical`` form); and the
-    distinct pairs on the graph's edges with, in step, their classes and
-    ports.  :meth:`extend` adds the next round.
+    each node in round ``r``, an :func:`~svmv.graphs.int_array` in node
+    order; each class with what fixes its nodes' states (``(degree,
+    input)`` in round 0, later its class in round ``r - 1`` and the pairs
+    and pads it receives as a sorted tuple, of distinct codes if
+    ``distinct``, as set reception takes them); and the distinct pairs on
+    the graph's edges with, in step, their classes and ports, each an
+    ``int_array``.  :meth:`extend` adds the next round.
     """
 
-    def __init__(self, plan: RunPlan, inputs: tuple, delta: int, canonical):
-        self.inputs, self.canonical, self.width = inputs, canonical, delta + 1
+    def __init__(self, plan: RunPlan, inputs: tuple, delta: int,
+                 distinct: bool):
+        self.inputs, self.distinct, self.width = inputs, distinct, delta + 1
         row, ids = self._number(zip(plan.degrees, inputs))
         self.rounds = [(row, [(cid, key) for key, cid in ids.items()],
                         ((), (), ()))]
-        self._pads = {cid: (0,) * (delta - degree)
+        # Every pair's code is positive, so a class's pads (0s, one at
+        # most for set reception) go in front of its sorted codes.
+        self._pads = {cid: (0,) * (min(1, delta - degree) if distinct
+                                   else delta - degree)
                       for (degree, _), cid in ids.items()}
 
     def extend(self, plan: RunPlan):
@@ -129,26 +136,27 @@ class _Partition:
             # Nothing split, so nothing ever will: later rounds repeat this.
             self.rounds.append(self.rounds[-1])
             return
-        canonical, pads, prev = self.canonical, self._pads, self.rounds[-1][0]
+        pads, prev = self._pads, self.rounds[-1][0]
         codes = list(map(add, map(prev.__getitem__, plan.senders), plan.ports))
-        row, ids = self._number(zip(prev, map(canonical, map(codes.__getitem__,
-                                                             plan.slices()))))
-        pairs = tuple(dict.fromkeys(codes))
-        ports = tuple(map(mod, pairs, repeat(self.width, len(pairs))))
-        self.rounds.append((row, [(cid, (p, canonical((*pads[p], *got))))
+        got = map(codes.__getitem__, plan.slices())
+        if self.distinct:
+            got = map(set, got)
+        row, ids = self._number(zip(prev, map(tuple, map(sorted, got))))
+        pairs = list(dict.fromkeys(codes))
+        ports = list(map(mod, pairs, repeat(self.width, len(pairs))))
+        senders = list(map(sub, pairs, ports))
+        self.rounds.append((row, [(cid, (p, pads[p] + got))
                                   for (p, got), cid in ids.items()],
-                            (pairs, tuple(map(sub, pairs, ports)), ports)))
+                            (int_array(pairs), int_array(senders),
+                             int_array(ports))))
         self._pads = {cid: pads[p] for (p, _), cid in ids.items()}
 
-    def _number(self, keys) -> tuple[list, dict]:
-        """Each node's class and the classes: keys numbered as first seen."""
-        ids, row, width = {}, [], self.width
-        for key in keys:
-            cid = ids.get(key)
-            if cid is None:
-                cid = ids[key] = width * len(ids)
-            row.append(cid)
-        return row, ids
+    def _number(self, keys) -> tuple[array, dict]:
+        """Each node's class and the classes: keys numbered as first seen,
+        as they stream in."""
+        ids, width = {}, self.width
+        return int_array([ids.setdefault(key, width * len(ids))
+                          for key in keys]), ids
 
 
 def execute(machine: StateMachine, graph: PortNumberedGraph,
@@ -177,13 +185,15 @@ def execute(machine: StateMachine, graph: PortNumberedGraph,
     kind = machine.reception_class
     partition = plan.partitions.get(kind)
     if partition is None or partition.inputs != local:
-        canonical = (lambda ids: tuple(sorted(ids))) if kind == MV \
-            else frozenset
         partition = plan.partitions[kind] = _Partition(plan, local, delta,
-                                                       canonical)
+                                                       kind != MV)
     trace = ExecutionTrace(delta, plan, machine.emit)
     _rounds(machine, partition, trace, max_rounds)
     return trace
+
+
+def _sorted(codes) -> tuple:
+    return tuple(sorted(codes))
 
 
 def _rounds(machine, partition, trace, max_rounds):
@@ -192,12 +202,16 @@ def _rounds(machine, partition, trace, max_rounds):
     Distinct states get ids that are multiples of ``delta + 1``, so ``state
     id + out-port`` names a (state, out-port) pair, and distinct messages
     get ids from 0 (epsilon).  A class's next state is memoised per run on
-    (state id, its received message ids in the partition's canonical form).
+    (state id, its received message ids as a sorted tuple for multiset
+    reception, a frozenset for set reception).
     """
     emit, transition, stopping = (machine.emit, machine.transition,
                                   machine.stopping)
-    reduce = vmset_reduce if machine.reception_class == MV else vset_reduce
-    canonical, width, plan = partition.canonical, partition.width, trace._plan
+    if machine.reception_class == MV:
+        reduce, canonical = vmset_reduce, _sorted
+    else:
+        reduce, canonical = vset_reduce, frozenset
+    width, plan = partition.width, trace._plan
     delta = machine.delta
     state_of, state_id, stops = {}, {}, set()
     message_of, message_id = [EPSILON], {EPSILON: 0}

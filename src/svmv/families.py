@@ -21,7 +21,6 @@ collapsed labels, when an executor needs one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -182,8 +181,9 @@ class PortCollapse:
     """Map from generalised labels to positive integers, applied edge-wise.
 
     Per node, the restriction to that node's out-labels (and separately its
-    in-labels) must stay injective; ``PortNumberedGraph.add_edge`` enforces
-    this when ``build_ball`` or ``apply_graph`` builds a collapsed graph.
+    in-labels) must stay injective; ``build_ball`` enforces this as it
+    writes the labels, and ``PortNumberedGraph.add_edge`` when
+    ``apply_graph`` builds a collapsed graph.
     """
 
     name: str
@@ -406,6 +406,13 @@ def build_ball(family: str, d: int, center: Path, radius: int,
     so ``declared_degree`` reads the full-tree degree of every node and a
     whole tree records none.  A ball that would pass ``max_nodes`` is
     refused from its exact size, :func:`ball_size`, before a node is built.
+
+    One BFS pass, a level at a time, adds the nodes and lays the edges out
+    as ``PortNumberedGraph.add_edge`` would, each from its shallower end,
+    writing each node's one label dict (its out- and in-labels alike) and
+    the two edge lists itself.  A new node has no labels yet, so each edge
+    checks only the label the expanded node writes, and a collapse that
+    reuses one of its out-ports raises ``add_edge``'s ``NumberingError``.
     """
     if radius < 0:
         raise FormatError("radius must be >= 0")
@@ -417,28 +424,38 @@ def build_ball(family: str, d: int, center: Path, radius: int,
     lazy = FamilyView(family, d, collapse)
     graph = PortNumberedGraph()
     graph.add_node(center, node_colour(family, center))
-    seen = {center}
-    frontier = deque([(center, 0)])
-    while frontier:
-        v, dist = frontier.popleft()
-        if dist == radius:
-            # Every edge of v but the one to its BFS parent is cut off.
-            degree = lazy.degree(v)
-            if degree != graph.degree(v):
-                graph.true_degree[v] = degree
-            continue
-        for u, label in lazy.back_edges(v):
-            # The families are trees, so the one neighbour seen before is
-            # v's BFS parent, whose edge to v already exists.
-            if u in seen:
-                continue
-            seen.add(u)
-            graph.add_node(u, node_colour(family, u))
-            frontier.append((u, dist + 1))
-            if len(v) < len(u):
-                graph.add_edge(v, u, lazy.out_label(v, u), label)
-            else:
-                graph.add_edge(u, v, label, lazy.out_label(v, u))
+    labels, tails, heads = graph._out, graph._tails, graph._heads
+    level = [center]
+    for _ in range(radius):
+        below = []
+        for v in level:
+            at_v = labels[v]
+            for u, label in lazy.back_edges(v):
+                # The families are trees, so the one neighbour seen before
+                # is v's BFS parent, whose edge to v already exists.
+                if u in labels:
+                    continue
+                out_vu = lazy.out_label(v, u)
+                if out_vu in at_v.values():
+                    raise NumberingError(
+                        f"node {v!r} reuses out-port {out_vu!r}")
+                at_v[u] = out_vu
+                graph.add_node(u, node_colour(family, u))
+                labels[u][v] = label
+                if len(v) < len(u):
+                    tails.append(v)
+                    heads.append(u)
+                else:
+                    tails.append(u)
+                    heads.append(v)
+                below.append(u)
+        level = below
+    # Every edge of a node at the radius but the one to its BFS parent is
+    # cut off.
+    for v in level:
+        degree = lazy.degree(v)
+        if degree != len(labels[v]):
+            graph.true_degree[v] = degree
     return graph
 
 

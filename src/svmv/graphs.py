@@ -13,6 +13,7 @@ tree holds one label dict per node.
 from __future__ import annotations
 
 import json
+from array import array
 from itertools import islice
 from typing import Any, Callable, Iterable
 
@@ -22,17 +23,20 @@ from .errors import DegreeBoundError, FormatError, NumberingError
 class PortNumberedGraph:
     """Finite simple undirected graph with per-edge directional port labels.
 
-    ``true_degree`` records the degree a node has in the full structure a
-    ball was cut from, for the nodes the ball cuts edges from; consumers
-    that need exact answers read :meth:`declared_degree` to detect
-    truncation.
+    Edge ``k`` joins ``_tails[k]`` and ``_heads[k]``, two parallel lists in
+    insertion order, so an edge costs two list slots and no tuple;
+    :meth:`edges` pairs them on read.  ``true_degree`` records the degree a
+    node has in the full structure a ball was cut from, for the nodes the
+    ball cuts edges from; consumers that need exact answers read
+    :meth:`declared_degree` to detect truncation.
     """
 
     def __init__(self):
         self._out: dict[Any, dict[Any, Any]] = {}
         self._in: dict[Any, dict[Any, Any]] = {}
         self._order: list[Any] = []
-        self._edges: list[tuple[Any, Any]] = []
+        self._tails: list[Any] = []
+        self._heads: list[Any] = []
         self.colours: dict[Any, str] = {}
         self.true_degree: dict[Any, int] = {}
         self._plans: dict[int, RunPlan] = {}
@@ -80,7 +84,8 @@ class PortNumberedGraph:
             if in_ab != out_ab and self._in[a] is self._out[a]:
                 self._in[a] = dict(self._out[a])
             self._in[a][b] = in_ab
-        self._edges.append((u, v))
+        self._tails.append(u)
+        self._heads.append(v)
 
     # -- access -----------------------------------------------------------
 
@@ -89,7 +94,7 @@ class PortNumberedGraph:
         return list(self._order)
 
     def edges(self) -> list[tuple]:
-        return list(self._edges)
+        return list(zip(self._tails, self._heads))
 
     def neighbours(self, v) -> list:
         return list(self._out[v])
@@ -176,7 +181,7 @@ class PortNumberedGraph:
                 rec["true_degree"] = self.true_degree[v]
             nodes.append(rec)
         edges = []
-        for u, v in self._edges:
+        for u, v in zip(self._tails, self._heads):
             rec = {"u": node_fmt(u), "v": node_fmt(v),
                    "port_uv": _label_text(self._out[u][v]),
                    "port_vu": _label_text(self._out[v][u])}
@@ -231,7 +236,7 @@ class PortNumberedGraph:
                 attrs.append("penwidth=3")
             attr = (" [" + " ".join(attrs) + "]") if attrs else ""
             lines.append(f'  "{node_fmt(v)}"{attr};')
-        for u, v in self._edges:
+        for u, v in zip(self._tails, self._heads):
             label = (f"{_label_text(self._out[u][v])}/"
                      f"{_label_text(self._out[v][u])}")
             lines.append(f'  "{node_fmt(u)}" -- "{node_fmt(v)}" [label="{label}"];')
@@ -248,8 +253,10 @@ class RunPlan:
     ``nodes[senders[k]]`` writes on out-port ``ports[k]``, and node ``i``'s
     slots run from ``bounds[i]`` up to ``bounds[i + 1]``; a pass that needs
     per-node slices cuts them from the bounds (:meth:`slices`) and drops
-    them.  ``partitions`` is the executor's cache of node partitions per
-    reception class, dropped with the plan.
+    them.  ``senders``, ``ports`` and ``bounds`` are :func:`int_array`
+    machine ints, not one Python int per slot.  ``partitions`` is the
+    executor's cache of node partitions per reception class, dropped with
+    the plan.
     """
 
     __slots__ = ("nodes", "index", "degrees", "senders", "ports", "bounds",
@@ -270,15 +277,24 @@ class RunPlan:
                 senders.append(index[u])
                 ports.append(graph._out[u][v])
             bounds.append(len(senders))
-        self.senders = tuple(senders)
-        self.ports = tuple(ports)
-        self.bounds = tuple(bounds)
+        self.senders = int_array(senders)
+        self.ports = int_array(ports)
+        self.bounds = int_array(bounds)
         self.partitions: dict = {}
 
     def slices(self):
         """Each node's slot slice, in node order, made on the fly."""
         bounds = self.bounds
         return map(slice, bounds, islice(bounds, 1, None))
+
+
+def int_array(values: list) -> array:
+    """``values`` packed as machine ints: 4 bytes each, or 8 if one of them
+    needs it."""
+    try:
+        return array("i", values)
+    except OverflowError:
+        return array("q", values)
 
 
 def _default_node_fmt(v) -> str:

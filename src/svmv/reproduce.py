@@ -29,8 +29,8 @@ DESK_SCALE_CAPS = ("walk search d<=5; bisimilarity radius runs d<=4; "
                    "coloured-tree executions d<=3; pair searches capped at "
                    "50M states; parameters d>=6 exceed the memory budget, "
                    "so the criteria above stand in for full-scale numbers")
-# The largest d a psw row is searched for: psw d=7 takes about 7 s and
-# 180 MiB, d=8 more than 3 GB.
+# The largest d a psw search runs for, in a reproduce row or through
+# ``svmv psw``: d=7 takes about 7 s and 180 MiB, d=8 more than 3 GB.
 PSW_D_MAX = 7
 BISIM_D_VALUES = (2, 3, 4)
 THEOREM1_DELTAS = (2, 3, 4)

@@ -27,8 +27,13 @@ class ViewTree:
 
     ``view`` builds every view, so two structurally equal views are one
     object and the default identity ``==`` and ``hash`` are exact
-    structural equality.  ``digest``, a sha256 of the structure, is
-    computed on first read: a run fingerprints few of the views it makes.
+    structural equality.  ``children`` is a tuple of distinct (port label,
+    child view) pairs, sorted by port and, between equal ports, by the
+    children's ``<``: an order by ``id``, which is total and fixed while
+    the children live, so one pair set has one tuple.  The order differs
+    between processes, and nothing but this canonical form reads it.
+    ``digest``, a sha256 of the structure, is computed on first read: a
+    run fingerprints few of the views it makes.
     """
 
     __slots__ = ("degree", "input", "round", "children", "_digest")
@@ -50,12 +55,19 @@ class ViewTree:
             got = self._digest = hashlib.sha256(blob.encode()).hexdigest()
         return got
 
+    def __lt__(self, other):
+        return id(self) < id(other)
+
     def __repr__(self):
         return f"View#{self.digest[:12]}(r={self.round})"
 
 
-def view(degree, input, round, children: frozenset) -> ViewTree:
-    """Interned constructor; ``children`` holds (port label, child view)."""
+def view(degree, input, round, children) -> ViewTree:
+    """Interned constructor; ``children`` yields (port label, child view)
+    pairs, in any order and with repeats, and is kept as a set: a sorted
+    tuple of the distinct pairs.  A tuple with repeats would count them,
+    which set reception cannot."""
+    children = tuple(sorted(set(children)))
     key = (degree, input, round, children)
     got = _INTERN.get(key)
     if got is None:
@@ -73,14 +85,14 @@ def canonical_sv(delta: int) -> StateMachine:
         raise ValueError("delta must be >= 1")
 
     def init(degree, local_input):
-        return view(degree, local_input, 0, frozenset())
+        return view(degree, local_input, 0, ())
 
     def emit(state, port):
         return (port, state)
 
     def transition(state, received):
         return view(state.degree, state.input, state.round + 1,
-                    frozenset(m for m in received if m is not EPSILON))
+                    received.difference((EPSILON,)))
 
     return StateMachine("canonical-sv", delta, SV, init, emit, transition,
                         lambda s: False)

@@ -410,6 +410,18 @@ def test_reproduce_beyond_the_psw_cap_is_refused_before_searching(tmp_path):
     assert result.stdout == ""
 
 
+def test_psw_beyond_the_cap_is_refused_before_searching(monkeypatch,
+                                                        capsys):
+    def searched(d, max_pairs):
+        raise AssertionError(f"searched d={d}")
+
+    monkeypatch.setattr("svmv.cli.find_critical_psw", searched)
+    for d in ("8", "9"):
+        assert main(["psw", "--d", d]) == 3
+        assert capsys.readouterr().err == (
+            f"resource cap: psw searches are capped at d <= 7 (got {d})\n")
+
+
 # Values the argv fuzz draws from.  A value starting with "@" names a file
 # in the test's directory; None marks a flag that takes no value.
 NUMBERS = ["-1", "0", "1", "2", "3", "x"]

@@ -9,6 +9,7 @@ from svmv.families import (FamilyView, ROOT, build_ball, build_collapsed,
                            build_full, collapse_g, collapse_h,
                            family_collapse, format_path)
 from svmv.graphs import PortNumberedGraph
+from svmv.reproduce import corrupted_collapse
 
 
 def test_plain_collapse_mapping():
@@ -84,6 +85,14 @@ def test_collapse_injectivity_violation_detected():
     broken.mapping[0] = 2
     with pytest.raises(NumberingError):
         broken.apply_graph(build_full("g", 2))
+
+
+def test_collapse_that_reuses_an_out_port_is_refused_while_building():
+    # The corrupted g collapse maps label 0 onto 2, so (1,0) labels both
+    # its parent and its first child 2.
+    with pytest.raises(NumberingError) as exc:
+        build_ball("g", 2, ROOT, 4, collapse=corrupted_collapse(2))
+    assert str(exc.value) == "node ((1, 0),) reuses out-port 2"
 
 
 def test_collapse_missing_label_detected():

@@ -51,34 +51,50 @@ def test_theorem1_executes_only_the_rounds_its_rows_read(monkeypatch):
         assert rounds == [2 * delta - 2] * (1 + len(AD_HOC_SV_MACHINES))
 
 
-def _traced_peak(call: str) -> int:
+def _traced(call: str) -> tuple[int, int]:
     """tracemalloc peak of ``call`` in a fresh interpreter, so no view is
-    interned beforehand."""
+    interned beforehand, and the memory still traced after it and a full
+    collection: what the call leaves behind."""
     root = str(Path(svmv.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    script = ("import tracemalloc\n"
+    script = ("import gc, tracemalloc\n"
               "from svmv.experiments import run_theorem1, run_theorem2\n"
               "tracemalloc.start()\n"
               f"{call}\n"
-              "print(tracemalloc.get_traced_memory()[1])\n")
+              "peak = tracemalloc.get_traced_memory()[1]\n"
+              "gc.collect()\n"
+              "print(peak, tracemalloc.get_traced_memory()[0])\n")
     done = subprocess.run([sys.executable, "-c", script], check=True,
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True)
-    return int(done.stdout)
+    peak, held = map(int, done.stdout.split())
+    return peak, held
 
 
 def test_theorem1_delta4_memory_peak():
-    # It reads about 12.3 MiB.  One slice object per node in the run plan
-    # and a true_degree entry for every node of the whole tree read about
-    # 13.9; running the unread round 2*delta - 1, about 18.
-    assert _traced_peak("run_theorem1(4)") < 13 * 2**20
+    # It reads about 10.1 MiB.  Python ints and tuples in the run plan, the
+    # partition rows and the graph's edge list, and frozensets in the
+    # partition and the views, read about 12.3; one slice object per node
+    # in the run plan and a true_degree entry for every node of the whole
+    # tree, about 13.9; running the unread round 2*delta - 1, about 18.
+    peak, _ = _traced("run_theorem1(4)")
+    assert peak < 11.5 * 2**20
 
 
 def test_theorem2_d3_memory_peak():
-    # It reads about 9.6 MiB.  Building both coloured trees before running
-    # either, so that two graphs, run plans and partitions are alive at
-    # once, reads about 13.4.
-    assert _traced_peak("run_theorem2(3)") < 11.5 * 2**20
+    # It reads about 7.3 MiB, and 9.6 with Python ints, tuples and
+    # frozensets in place of the packed run state and view children.
+    # Building both coloured trees before running either, so that two
+    # graphs, run plans and partitions are alive at once, read about 13.4.
+    peak, _ = _traced("run_theorem2(3)")
+    assert peak < 8.75 * 2**20
+
+
+def test_theorem2_d3_interned_views_memory():
+    # The 5,422 views that stay interned read about 1.8 MiB, and 3.0 when
+    # each view's children were a frozenset.
+    _, held = _traced("run_theorem2(3)")
+    assert held < 2.4 * 2**20
 
 
 def test_root_experiment_smallest_parameter():

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -482,3 +485,36 @@ def test_back_edges_follow_the_rules_on_deep_trees(sample):
                       family_collapse(family, d) if collapsed else None)
     for v in nodes:
         assert view.back_edges(v) == rule_back_edges(view, v)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DEPTH_ONE = {"g": ((1, 0),), "hb": ((1, 0, "B"),), "hw": ((1, 0, "W"),)}
+
+
+def test_build_output_matches_pinned_digests():
+    # The .json and .dot bytes ``svmv build`` writes for 120 balls: each
+    # family, d=2 and 3, the root and a depth-1 centre, radii 0, 1, 3, 2d
+    # and 2d+1, plain and collapsed; and one sha256 over all of them.
+    pinned = json.loads((GOLDEN / "build_digests.json").read_text())
+    combined, got = hashlib.sha256(), []
+    for family in FAMILIES:
+        for d in (2, 3):
+            for centre in (ROOT, DEPTH_ONE[family]):
+                for radius in (0, 1, 3, 2 * d, 2 * d + 1):
+                    for collapsed in (False, True):
+                        collapse = family_collapse(family, d) \
+                            if collapsed else None
+                        ball = build_ball(family, d, centre, radius,
+                                          collapse=collapse)
+                        text = (ball.to_json(node_fmt=format_path)
+                                + "\n").encode()
+                        dot = ball.to_dot(node_fmt=format_path).encode()
+                        combined.update(text + dot)
+                        got.append({
+                            "family": family, "d": d,
+                            "center": format_path(centre), "radius": radius,
+                            "collapse": collapsed,
+                            "json_sha256": hashlib.sha256(text).hexdigest(),
+                            "dot_sha256": hashlib.sha256(dot).hexdigest()})
+    assert got == pinned["balls"]
+    assert combined.hexdigest() == pinned["combined_sha256"]

@@ -11,6 +11,21 @@ def test_views_are_interned():
         view(2, None, 0, frozenset()).digest
 
 
+def test_one_pair_set_gives_one_view():
+    leaves = [view(degree, None, 0, ()) for degree in (1, 2, 3)]
+    # Equal ports with distinct children need the tie order.
+    pairs = [(1, leaves[0]), (1, leaves[1]), (2, leaves[2]), (3, leaves[0])]
+    want = view(3, "G", 1, pairs)
+    for given in (pairs[::-1], pairs[1:] + pairs[:1], set(pairs),
+                  frozenset(pairs), iter(pairs), pairs + pairs[2:3],
+                  [pairs[1], *pairs, pairs[1]]):
+        assert view(3, "G", 1, given) is want
+    assert len(want.children) == len(set(want.children)) == 4
+    assert set(want.children) == set(pairs)
+    assert [port for port, _ in want.children] == [1, 1, 2, 3]
+    assert view(3, "G", 1, pairs[:3]) is not want
+
+
 def test_star_centre_sees_three_distinct_children():
     graph = PortNumberedGraph()
     graph.add_node("c", "G")
