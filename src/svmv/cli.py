@@ -65,6 +65,8 @@ def cmd_psw(args) -> int:
     if args.d > PSW_D_MAX:
         raise ResourceLimitError(
             f"psw searches are capped at d <= {PSW_D_MAX} (got {args.d})")
+    # Built first, so a tree past the node cap is refused before the search.
+    ball = build_full("g", args.d) if args.format == "dot" else None
     k, witness = find_critical_psw(args.d, max_pairs=args.max_pairs)
     audit = verify_psw(witness, args.d, allow_mirrored=True)
     payload = {
@@ -79,9 +81,8 @@ def cmd_psw(args) -> int:
         "verified": audit.status,
     }
     _write_json(args.out, payload)
-    if args.format == "dot":
+    if ball is not None:
         marked = set(witness.walk1) | set(witness.walk2)
-        ball = build_full("g", args.d)
         _write_text((args.out or "psw") + ".dot",
                     ball.to_dot(node_fmt=format_path, highlight=marked))
     return EXIT_OK
@@ -118,24 +119,14 @@ def _load_graph(path: str) -> PortNumberedGraph:
 
 def cmd_simulate(args) -> int:
     graph = _load_graph(args.graph)
-    delta = max(1, graph.max_degree())
-    inner = INNER_MACHINES[args.inner](delta)
-    # A graph the machines cannot run on is outside the model, not a failed
-    # simulation: integer ports in 1..delta, inputs in the inner alphabet.
-    # The run plan checks the ports, and the runs below reuse it.
+    # Ports outside 1..delta or inputs outside the inner alphabet put the
+    # graph outside the model; the first run's set-up refuses them.
     try:
-        graph.run_plan(delta)
+        inner = INNER_MACHINES[args.inner](max(1, graph.max_degree()))
+        report = run_simulation(inner, graph, graph.colours or None,
+                                max_rounds=args.max_rounds)
     except NumberingError as exc:
         raise FormatError(f"{args.graph}: {exc}") from exc
-    if inner.input_alphabet is not None:
-        for v in graph.nodes:
-            if graph.colour(v) not in inner.input_alphabet:
-                raise FormatError(
-                    f"{args.graph}: node {v!r} has input "
-                    f"{graph.colour(v)!r}; --inner {args.inner} takes "
-                    f"{', '.join(sorted(inner.input_alphabet))}")
-    report = run_simulation(inner, graph, graph.colours or None,
-                            max_rounds=args.max_rounds)
     _write_json(args.out, report.to_json_dict())
     return EXIT_OK if report.outputs_equal else EXIT_CRITERION
 
@@ -144,8 +135,10 @@ def cmd_check_pi(args) -> int:
     graph = _load_graph(args.graph)
     with open(args.candidate) as fh:
         candidate = json.load(fh)
-    # Π judges a node-to-colour map on a B/W/G-coloured graph.
-    if not isinstance(candidate, dict):
+    # Π judges a node-to-colour map on a B/W/G-coloured graph; a list or
+    # an object is no colour, while any other value is merely a wrong one.
+    if not isinstance(candidate, dict) or any(
+            isinstance(value, (list, dict)) for value in candidate.values()):
         raise FormatError(f"{args.candidate}: not a JSON object of colours")
     for v in graph.nodes:
         if graph.colour(v) not in COLOURS:

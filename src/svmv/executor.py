@@ -50,8 +50,8 @@ class ExecutionTrace:
     None if ``max_rounds`` ran out first.
 
     The run records each round as the partition's row of node classes
-    and the state of each class; ``states``, ``messages`` and
-    :meth:`received` are rebuilt from them on read.
+    and the state of each class; ``states`` and ``messages`` are rebuilt
+    from them on read.
     """
 
     def __init__(self, delta: int, plan: RunPlan, emit):
@@ -93,14 +93,6 @@ class ExecutionTrace:
             row, held = self._rows[min(r, len(self._rows) - 1)]
             return held[row[self._plan.index[v]]]
         raise IndexError(f"round {r} not recorded and the run did not halt")
-
-    def received(self, r: int, v) -> tuple:
-        """Padded message vector delivered to ``v`` in round ``r`` (r >= 1)."""
-        if 1 <= r < len(self._rows):
-            return self.messages[r - 1][v]
-        if self.stopped_round is not None and r >= len(self._rows):
-            return (EPSILON,) * self.delta
-        raise IndexError(f"round {r} not recorded")
 
 
 class _Partition:
@@ -179,8 +171,9 @@ def execute(machine: StateMachine, graph: PortNumberedGraph,
         for v, value in zip(plan.nodes, local):
             if value not in machine.input_alphabet:
                 raise NumberingError(
-                    f"local input {value!r} of node {v!r} is outside "
-                    f"the machine's input alphabet")
+                    f"local input {value!r} of node {v!r} is outside the "
+                    f"machine's input alphabet "
+                    f"{', '.join(sorted(map(str, machine.input_alphabet)))}")
     # One partition is kept per reception class, for its latest input.
     kind = machine.reception_class
     partition = plan.partitions.get(kind)

@@ -123,7 +123,9 @@ class PortNumberedGraph:
         """True iff every node's out- and in-port sets are exactly 1..deg."""
         for v, adj in self._out.items():
             want = set(range(1, len(adj) + 1))
-            if set(adj.values()) != want or set(self._in[v].values()) != want:
+            in_adj = self._in[v]
+            if set(adj.values()) != want or (
+                    in_adj is not adj and set(in_adj.values()) != want):
                 return False
         return True
 
@@ -132,10 +134,13 @@ class PortNumberedGraph:
         ``1..delta``, distinct per node on both sides.
 
         Weaker than :meth:`is_proper`: the collapsed tree numberings carry
-        labels above a leaf's degree and stay runnable.
+        labels above a leaf's degree and stay runnable.  A node whose in-
+        and out-labels share one dict has it checked once.
         """
         for v in self._order:
-            for labels in (self._out[v].values(), self._in[v].values()):
+            out, in_ = self._out[v], self._in[v]
+            for labels in ((out.values(),) if in_ is out
+                           else (out.values(), in_.values())):
                 for lab in labels:
                     if not isinstance(lab, int) or not 1 <= lab <= delta:
                         raise NumberingError(
@@ -208,7 +213,7 @@ class PortNumberedGraph:
                 graph.add_edge(rec["u"], rec["v"],
                                _parse_label(rec["port_uv"]),
                                _parse_label(rec["port_vu"]), **in_labels)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, NumberingError) as exc:
             raise FormatError(f"malformed graph document: {exc}") from exc
         return graph
 
@@ -333,15 +338,16 @@ def random_graph(rng, n: int, delta: int) -> PortNumberedGraph:
     """Random simple graph on nodes ``0..n-1`` with max degree <= delta.
 
     Edges are sampled by repeated pair draws under the degree cap, so the
-    result is connected-ish but not guaranteed connected.
+    result is connected-ish but not guaranteed connected.  Each node, in
+    order of its first edge, shuffles its neighbours into out-ports, then
+    again into in-ports.
     """
     graph = PortNumberedGraph()
     for v in range(n):
         graph.add_node(v)
     if n < 2:
         return graph
-    deg = [0] * n
-    adj = [set() for _ in range(n)]
+    adj: dict[int, list] = {}  # neighbours in edge order; len is degree
     target = int(DENSITY * n * min(delta, n - 1) / 2)
     attempts = 0
     edges = []
@@ -349,37 +355,22 @@ def random_graph(rng, n: int, delta: int) -> PortNumberedGraph:
         attempts += 1
         u = rng.randrange(n)
         v = rng.randrange(n)
-        if u == v or v in adj[u] or deg[u] >= delta or deg[v] >= delta:
+        near_u, near_v = adj.get(u, ()), adj.get(v, ())
+        if u == v or v in near_u or max(len(near_u), len(near_v)) >= delta:
             continue
-        adj[u].add(v)
-        adj[v].add(u)
-        deg[u] += 1
-        deg[v] += 1
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
         edges.append((u, v))
-    numbering = _random_numbering(rng, n, edges)
-    for u, v in edges:
-        out_uv, in_uv = numbering[(u, v)]
-        out_vu, in_vu = numbering[(v, u)]
-        graph.add_edge(u, v, out_uv, out_vu, in_uv=in_uv, in_vu=in_vu)
-    return graph
-
-
-def _random_numbering(rng, n, edges):
-    incident: dict[int, list] = {}
-    for u, v in edges:
-        incident.setdefault(u, []).append(v)
-        incident.setdefault(v, []).append(u)
-    ports = {}
-    for u, nbrs in incident.items():
-        for side in ("out", "in"):
-            order = list(nbrs)
+    out_port, in_port = {}, {}
+    for u, near in adj.items():
+        for ports in (out_port, in_port):
+            order = list(near)
             rng.shuffle(order)
-            for i, v in enumerate(order, start=1):
-                key = (u, v)
-                cur = ports.get(key, [None, None])
-                cur[0 if side == "out" else 1] = i
-                ports[key] = cur
-    return {k: tuple(v) for k, v in ports.items()}
+            ports.update({(u, v): i for i, v in enumerate(order, 1)})
+    for u, v in edges:
+        graph.add_edge(u, v, out_port[u, v], out_port[v, u],
+                       in_uv=in_port[u, v], in_vu=in_port[v, u])
+    return graph
 
 
 def random_colouring(rng, graph: PortNumberedGraph) -> dict:

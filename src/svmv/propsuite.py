@@ -221,49 +221,43 @@ def executor_agreement_suite(rng, views) -> Iterator[str]:
 
     for d in (2, 3):
         graph = build_collapsed("g", d)
-        view = MaterializedView(graph)
-        prepared.append(((view, view), (graph, graph), ((1, 0),), ((2, 1),),
-                         2 * d))
+        prepared.append((graph, graph, ((1, 0),), ((2, 1),), 2 * d))
     d = 2
     gb, gw = build_collapsed("hb", d), build_collapsed("hw", d)
     for _ in range(6):
         v = _random_path(rng, views("hb", d),
                          first_step=lambda s: s[0] >= 2)
-        u = h_counterpart(v)
-        prepared.append(((MaterializedView(gb), MaterializedView(gw)),
-                         (gb, gw), v, u, 2 * d - 2))
+        prepared.append((gb, gw, v, h_counterpart(v), 2 * d - 2))
 
     for _ in range(AGREEMENT_CASES):
         if prepared:
-            entry = prepared.pop()
+            graph_a, graph_b, x, y, cap = prepared.pop()
         else:
-            n = rng.randint(2, 10)
-            delta = rng.randint(1, 3)
-            graph = random_graph(rng, n, delta)
+            graph_a = graph_b = random_graph(rng, rng.randint(2, 10),
+                                             rng.randint(1, 3))
             if rng.random() < 0.5:
-                graph.colours.update(random_colouring(rng, graph))
-            x, y = rng.choice(graph.nodes), rng.choice(graph.nodes)
-            view = MaterializedView(graph)
-            entry = ((view, view), (graph, graph), x, y, 4)
-        views, graphs, x, y, cap = entry
-        radius = max_bisim_radius(PointedInstance(views[0], x),
-                                  PointedInstance(views[1], y), cap)
-        delta = max(1, max(g.max_degree() for g in graphs))
-        machine = canonical_sv(delta)
-        horizon = cap + 1
-        first = execute(machine, graphs[0], max_rounds=horizon)
-        traces = (first, first if graphs[1] is graphs[0] else
-                  execute(machine, graphs[1], max_rounds=horizon))
+                graph_a.colours.update(random_colouring(rng, graph_a))
+            x, y = rng.choice(graph_a.nodes), rng.choice(graph_a.nodes)
+            cap = 4
+        view_a = MaterializedView(graph_a)
+        view_b = view_a if graph_b is graph_a else MaterializedView(graph_b)
+        radius = max_bisim_radius(PointedInstance(view_a, x),
+                                  PointedInstance(view_b, y), cap)
+        machine = canonical_sv(max(1, graph_a.max_degree(),
+                                   graph_b.max_degree()))
+        trace_a = execute(machine, graph_a, max_rounds=cap + 1)
+        trace_b = trace_a if graph_b is graph_a else \
+            execute(machine, graph_b, max_rounds=cap + 1)
         limit = cap if radius is None else radius
         for r in range(0, limit + 1):
-            if traces[0].state(r, x) != traces[1].state(r, y):
+            if trace_a.state(r, x) != trace_b.state(r, y):
                 yield (f"{x!r} vs {y!r}: bisimilar to radius {limit} "
                        f"but states split at round {r}")
                 break
         else:
             if radius is not None and radius < cap:
                 fail = radius + 1
-                if traces[0].state(fail, x) == traces[1].state(fail, y):
+                if trace_a.state(fail, x) == trace_b.state(fail, y):
                     yield (f"{x!r} vs {y!r}: radius {radius} reported "
                            f"but states still equal at round {fail}")
 

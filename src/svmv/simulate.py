@@ -146,12 +146,14 @@ def run_simulation(inner: StateMachine, graph: PortNumberedGraph,
                    max_rounds: int = 64) -> SimulationReport:
     """Differential run: inner machine directly vs through the wrapper.
 
-    The signature premise is audited first; the wrapper then runs with the
-    gathering overhead added to the horizon.  Outputs are compared node by
-    node and the exact overhead is reported.
+    The direct run comes first, so its set-up refuses a graph or input the
+    machines cannot run on before any round.  The signature audit follows,
+    then the direct run must have halted; only then does the wrapper run,
+    with the gathering overhead added to the horizon.  Outputs are compared
+    node by node and the exact overhead is reported.
     """
-    audit_signatures(graph, colouring, inner.delta)
     direct = execute(inner, graph, colouring, max_rounds=max_rounds)
+    audit_signatures(graph, colouring, inner.delta)
     if direct.stopped_round is None:
         raise DidNotHaltError(
             f"inner machine {inner.name} did not halt within {max_rounds} "

@@ -53,10 +53,6 @@ class WalkPair:
     extension: Path | None = None
     mirrored: bool = False
 
-    @property
-    def length(self) -> int:
-        return len(self.labels)
-
 
 @dataclass(frozen=True)
 class VerifyResult:

@@ -66,9 +66,9 @@ def test_psw_json(tmp_path):
 
 def test_psw_dot_beyond_the_node_cap_is_refused_before_building(
         tmp_path, monkeypatch, capsys):
-    # The whole g tree has 1,186,381 nodes at d=5, past the 500,000 cap:
-    # the closed-form size refuses it before the first node, after the
-    # JSON is written.  At d=3 (190 nodes) the same patch sees every node.
+    # The whole g tree has 1,747,626 nodes at d=5, past the 500,000 cap:
+    # the closed-form size refuses it before the first node, the search
+    # and either file.  At d=3 (190 nodes) the same patch sees every node.
     add_node = PortNumberedGraph.add_node
     built = []
 
@@ -81,14 +81,19 @@ def test_psw_dot_beyond_the_node_cap_is_refused_before_building(
     assert main(["psw", "--d", "3", "--format", "dot",
                  "--out", str(small)]) == 0
     assert len(set(built)) == 190
+    assert json.loads(small.read_text())["k"] == 3
+    assert (tmp_path / "psw3.dot").read_text().startswith("graph {")
     built.clear()
+    searched = []
+    monkeypatch.setattr("svmv.cli.find_critical_psw",
+                        lambda *args, **kwargs: searched.append(args))
     big = tmp_path / "psw5"
     assert main(["psw", "--d", "5", "--format", "dot",
                  "--out", str(big)]) == 3
-    assert built == []
-    assert json.loads(big.read_text())["k"] == 7
-    assert not (tmp_path / "psw5.dot").exists()
-    assert capsys.readouterr().err.startswith("resource cap: ")
+    assert built == [] and searched == []
+    assert sorted(tmp_path.iterdir()) == [small, tmp_path / "psw3.dot"]
+    assert capsys.readouterr().err == (
+        "resource cap: ball exceeds 500000 nodes (family=g, d=5, radius=10)\n")
 
 
 def test_build_beyond_the_node_cap_is_refused_before_building(
@@ -163,19 +168,45 @@ def test_simulate_round_trip(tmp_path):
     assert doc["signature_collisions"] == 0
 
 
-@pytest.mark.parametrize("inner, collapse", [
-    ("multiset-echo", []),
-    ("pi-solver", ["--collapse"]),
+@pytest.mark.parametrize("inner, collapse, refusal", [
+    ("multiset-echo", [], "node '(1,0)' carries port label 0, need integers "
+                          "in 1..2"),
+    ("pi-solver", ["--collapse"], "local input None of node '()' is outside "
+                                  "the machine's input alphabet B, G, W"),
 ], ids=["generalised-ports", "no-colours"])
-def test_simulate_outside_the_model_is_usage_error(tmp_path, inner, collapse):
+def test_simulate_outside_the_model_is_usage_error(tmp_path, inner, collapse,
+                                                    refusal):
     # An uncollapsed ball carries port label 0 and tuple labels; a g ball
     # has no colours, so the majority-colour solver has no inputs on it.
     base = tmp_path / "g2"
     assert main(["build", "--family", "g", "--d", "2", "--radius", "2",
                  "--out", str(base), *collapse]) == 0
-    _assert_usage_error(_run_cli(
+    result = _run_cli(
         ["simulate", "--inner", inner, "--graph", str(base) + ".json"],
-        cwd=tmp_path, hash_seed="0"))
+        cwd=tmp_path, hash_seed="0")
+    _assert_usage_error(result)
+    assert result.stderr == f"usage error: {base}.json: {refusal}\n"
+
+
+@pytest.mark.parametrize("edges, refusal", [
+    ([("x", "y", 1, 1), ("x", "z", 1, 1)], "node 'x' reuses out-port 1"),
+    ([("x", "x", 1, 2)], "self-loops are not allowed"),
+    ([("x", "y", 1, 1), ("y", "x", 2, 2)], "duplicate edge 'y' -- 'x'"),
+], ids=["reused-port", "self-loop", "repeated-edge"])
+def test_graph_json_that_add_edge_refuses_is_usage_error(tmp_path, capsys,
+                                                         edges, refusal):
+    graph = {"nodes": [{"id": v, "colour": "B"} for v in "xyz"],
+             "edges": [{"u": u, "v": v, "port_uv": a, "port_vu": b}
+                       for u, v, a, b in edges]}
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(graph))
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text(json.dumps(dict.fromkeys("xyz", "B")))
+    for args in (["simulate", "--inner", "pi-solver"],
+                 ["check-pi", "--candidate", str(candidate)]):
+        assert main([*args, "--graph", str(graph_file)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: malformed graph document: {refusal}\n")
 
 
 def test_simulate_that_does_not_halt_is_a_criterion_failure(tmp_path):
@@ -204,6 +235,13 @@ def test_check_pi_exit_codes(tmp_path):
     assert main(["check-pi", "--graph", str(graph_file),
                  "--candidate", str(bad), "--out", str(out)]) == 1
     assert json.loads(out.read_text())["violation"]["node"] == "x"
+    # A value that is no colour but not a list or an object is a violation.
+    for value in ("Q", 3, None):
+        bad.write_text(json.dumps({"x": value, "y": "B"}))
+        assert main(["check-pi", "--graph", str(graph_file),
+                     "--candidate", str(bad), "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["violation"] == {
+            "node": "x", "value": value, "allowed": ["W"]}
 
 
 def test_usage_error_exit_code():
@@ -368,11 +406,15 @@ def test_malformed_candidate_is_usage_error(tmp_path):
     (UNCOLOURED_GRAPH, {"x": "W", "y": "B"}),
     ({**EDGE_GRAPH, "nodes": [{"id": "x", "colour": "B"},
                               {"id": "y", "colour": "Q"}]}, {"x": "Q"}),
-], ids=["list-candidate", "uncoloured-graph", "unknown-colour"])
+    (EDGE_GRAPH, {"x": ["W"], "y": "B"}),
+    (EDGE_GRAPH, {"x": {"W": 1}, "y": "B"}),
+], ids=["list-candidate", "uncoloured-graph", "unknown-colour", "list-value",
+        "object-value"])
 def test_check_pi_outside_its_inputs_is_usage_error(tmp_path, graph,
                                                      candidate):
-    # A candidate that is JSON but not a node-to-colour map, and graphs
-    # whose nodes are not all coloured B, W or G.
+    # A candidate that is JSON but not a node-to-colour map (a list, or a
+    # list or an object as a value), and graphs whose nodes are not all
+    # coloured B, W or G.
     graph_file = tmp_path / "graph.json"
     graph_file.write_text(json.dumps(graph))
     candidate_file = tmp_path / "candidate.json"

@@ -62,7 +62,7 @@ def test_isolated_node_evolves_on_padding_only():
     trace = execute(machine, graph, max_rounds=2)
     assert trace.states[2][0] == 2
     assert seen == [frozenset({EPSILON})] * 2
-    assert trace.received(1, 0) == (EPSILON,) * 3
+    assert trace.messages[0][0] == (EPSILON,) * 3
 
 
 def test_determinism_bit_for_bit():
@@ -128,7 +128,7 @@ def test_stopping_absorption_with_staggered_stops():
     assert trace.states[1][0] == ("halt", 1)
     assert trace.states[2][0] == ("halt", 1)
     # The early-stopped endpoint delivers epsilon while its neighbour runs.
-    assert trace.received(2, 1)[0] is EPSILON
+    assert trace.messages[1][1][0] is EPSILON
 
 
 def test_stopping_contract_enforced():
@@ -335,7 +335,7 @@ def test_graph_changes_after_a_run_reach_the_next_run():
     _assert_matches_reference(narrow, graph, None, 3)
     _assert_matches_reference(echo, graph, None, 3)
     trace = execute(wide, graph, max_rounds=1)
-    assert trace.received(1, 3) == ((2, trace.states[0][2]), EPSILON, EPSILON)
+    assert trace.messages[0][3] == ((2, trace.states[0][2]), EPSILON, EPSILON)
     graph.add_edge(1, 3, 3, 2)  # node 1 now has degree 3
     with pytest.raises(DegreeBoundError):
         execute(narrow, graph, max_rounds=1)
@@ -349,8 +349,7 @@ def test_trace_keeps_the_layout_it_ran_on():
     graph = path_graph(3)
     trace = execute(canonical_sv(2), graph, max_rounds=2)
     graph.add_edge(2, 3, 2, 1)
-    assert set(trace.messages[0]) == {0, 1, 2}
-    assert trace.received(2, 0) == trace.messages[1][0]
+    assert set(trace.messages[0]) == set(trace.messages[1]) == {0, 1, 2}
 
 
 def _counting_emit(machine):
@@ -387,21 +386,19 @@ def test_emit_runs_once_per_distinct_state_and_port():
 
 def test_trace_reads_agree_before_and_after_the_dicts_are_built():
     # state() reads the per-round records directly; states and messages
-    # (which received() reads) are built from the same records once.
+    # are built from the same records once.
     graph = build_collapsed("g", 2)
     machine = canonical_sv(2)
     trace = execute(machine, graph, max_rounds=3)
-    first = trace.received(2, ROOT), trace.state(2, ROOT)
+    first = trace.state(2, ROOT)
     want_states, want_messages, _ = reference_execute(machine, graph, None, 3)
     messages, states = trace.messages, trace.states
     assert trace.messages is messages and trace.states is states
-    assert (messages[1][ROOT], states[2][ROOT]) == first
+    assert states[2][ROOT] == first
     assert messages == want_messages and states == want_states
     for r in range(4):
         for v in graph.nodes:
             assert trace.state(r, v) == want_states[r][v]
-            if r:
-                assert trace.received(r, v) == want_messages[r - 1][v]
 
 
 @pytest.mark.parametrize("machine,stops", [(solve_pi_mv(4), True),
@@ -423,10 +420,8 @@ def test_trace_reads_match_reference_on_numberings_that_split(machine,
         for v in graph.nodes:
             if r < len(states):
                 assert trace.state(r, v) == states[r][v]
-                assert trace.received(r, v) == messages[r - 1][v]
             elif stops:
                 assert trace.state(r, v) == states[-1][v]
-                assert trace.received(r, v) == (EPSILON,) * 4
             else:
                 with pytest.raises(IndexError):
                     trace.state(r, v)

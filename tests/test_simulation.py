@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from svmv.errors import SignatureCollisionError
+from svmv.errors import NumberingError, SignatureCollisionError
 from svmv.executor import execute, local_outputs
-from svmv.families import build_collapsed
+from svmv.families import build_ball, build_collapsed
 from svmv.graphs import PortNumberedGraph, random_colouring, random_graph
 from svmv.machines import EPSILON, MV, SV, StateMachine
 from svmv.problem import solve_pi_mv
@@ -48,6 +48,26 @@ def test_differential_echo_on_random_graphs():
         report = run_simulation(inner, graph, colours)
         assert report.outputs_equal, report.mismatches
         assert report.overhead == gather_rounds(delta)
+
+
+@pytest.mark.parametrize("inner, graph, refusal", [
+    (solve_pi_mv(2), build_collapsed("g", 2),
+     "local input None of node () is outside the machine's input alphabet "
+     "B, G, W"),
+    (multiset_echo(2), build_ball("g", 2, (), 2),
+     "node ((1, 0),) carries port label 0, need integers in 1..2"),
+], ids=["uncoloured", "port-0"])
+def test_unrunnable_instance_is_refused_before_the_audit(monkeypatch, inner,
+                                                         graph, refusal):
+    # The direct run comes first, so its set-up refuses inputs outside the
+    # inner alphabet and ports outside 1..delta before any round.
+    audited = []
+    monkeypatch.setattr("svmv.simulate.audit_signatures",
+                        lambda *args: audited.append(args))
+    with pytest.raises(NumberingError) as exc:
+        run_simulation(inner, graph)
+    assert str(exc.value) == refusal
+    assert audited == []
 
 
 def test_single_node_degenerates():
