@@ -48,25 +48,33 @@ def _write_json(path: str | None, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _file_base(out: str | None, default: str) -> str:
+    """Base path of a command that writes a file pair, which stdout is not."""
+    if out == "-":
+        raise FormatError("--out - cannot take this command's two files")
+    return out or default
+
+
 def cmd_build(args) -> int:
+    base = _file_base(args.out, f"{args.family}_d{args.d}_r{args.radius}")
     collapse = family_collapse(args.family, args.d) if args.collapse else None
     graph = build_ball(args.family, args.d, parse_path(args.center, args.family),
                        args.radius, max_nodes=args.max_nodes, collapse=collapse)
-    base = args.out or f"{args.family}_d{args.d}_r{args.radius}"
     _write_text(base + ".json", graph.to_json(node_fmt=format_path) + "\n")
-    with open(base + ".dot", "w") as fh:
-        fh.write(graph.to_dot(node_fmt=format_path))
+    _write_text(base + ".dot", graph.to_dot(node_fmt=format_path))
     print(f"{len(graph.nodes)} nodes, {len(graph.edges())} edges "
           f"-> {base}.json, {base}.dot")
     return EXIT_OK
 
 
 def cmd_psw(args) -> int:
+    dot = (_file_base(args.out, "psw") + ".dot" if args.format == "dot"
+           else None)
     if args.d > PSW_D_MAX:
         raise ResourceLimitError(
             f"psw searches are capped at d <= {PSW_D_MAX} (got {args.d})")
     # Built first, so a tree past the node cap is refused before the search.
-    ball = build_full("g", args.d) if args.format == "dot" else None
+    ball = build_full("g", args.d) if dot else None
     k, witness = find_critical_psw(args.d, max_pairs=args.max_pairs)
     audit = verify_psw(witness, args.d, allow_mirrored=True)
     payload = {
@@ -81,10 +89,9 @@ def cmd_psw(args) -> int:
         "verified": audit.status,
     }
     _write_json(args.out, payload)
-    if ball is not None:
+    if dot:
         marked = set(witness.walk1) | set(witness.walk2)
-        _write_text((args.out or "psw") + ".dot",
-                    ball.to_dot(node_fmt=format_path, highlight=marked))
+        _write_text(dot, ball.to_dot(node_fmt=format_path, highlight=marked))
     return EXIT_OK
 
 
@@ -144,7 +151,12 @@ def cmd_check_pi(args) -> int:
         if graph.colour(v) not in COLOURS:
             raise FormatError(f"{args.graph}: node {v!r} has colour "
                               f"{graph.colour(v)!r}, not B, W or G")
-    ok, violation = check_pi(graph, graph.colours, candidate)
+    # JSON keys are text: a node's key is its id if a string, else its JSON.
+    keys = {v: v if isinstance(v, str) else json.dumps(v) for v in graph.nodes}
+    if len(set(keys.values())) < len(keys):
+        raise FormatError(f"{args.graph}: two node ids have one JSON text")
+    ok, violation = check_pi(graph, graph.colours, {
+        v: candidate[key] for v, key in keys.items() if key in candidate})
     _write_json(args.out, {"ok": ok, "violation": violation})
     return EXIT_OK if ok else EXIT_CRITERION
 

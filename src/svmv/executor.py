@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cache, cached_property
-from itertools import repeat
-from operator import add, mod, sub
+from operator import add
 from typing import Any
 
 from .errors import DidNotHaltError, MachineContractError, NumberingError
@@ -99,23 +98,22 @@ class _Partition:
     """The node classes of every round for one reception class and input.
 
     Class ids are multiples of ``delta + 1``, numbered in order of first
-    occurrence, so ``class + port`` names one (class, out-port) pair; 0
-    stands for the epsilon pad.  ``rounds[r]`` is a triple: the class of
-    each node in round ``r``, an :func:`~svmv.graphs.int_array` in node
-    order; each class with what fixes its nodes' states (``(degree,
-    input)`` in round 0, later its class in round ``r - 1`` and the pairs
-    and pads it receives as a sorted tuple, of distinct codes if
-    ``distinct``, as set reception takes them); and the distinct pairs on
-    the graph's edges with, in step, their classes and ports, each an
-    ``int_array``.  :meth:`extend` adds the next round.
+    occurrence, so code ``class + port`` names one (class, out-port) pair,
+    and ``code % (delta + 1)`` is the port; 0 stands for the epsilon pad.
+    ``rounds[r]`` is a triple: the class of each node in round ``r``, an
+    :func:`~svmv.graphs.int_array` in node order; each class with what
+    fixes its nodes' states (``(degree, input)`` in round 0, later its class
+    in round ``r - 1`` and the pairs and pads it receives as a sorted tuple,
+    of distinct codes if ``distinct``, as set reception takes them); and
+    the distinct codes on the graph's edges, an ``int_array`` (none in
+    round 0).  :meth:`extend` adds the next round.
     """
 
     def __init__(self, plan: RunPlan, inputs: tuple, delta: int,
                  distinct: bool):
         self.inputs, self.distinct, self.width = inputs, distinct, delta + 1
         row, ids = self._number(zip(plan.degrees, inputs))
-        self.rounds = [(row, [(cid, key) for key, cid in ids.items()],
-                        ((), (), ()))]
+        self.rounds = [(row, [(cid, key) for key, cid in ids.items()], ())]
         # Every pair's code is positive, so a class's pads (0s, one at
         # most for set reception) go in front of its sorted codes.
         self._pads = {cid: (0,) * (min(1, delta - degree) if distinct
@@ -134,13 +132,9 @@ class _Partition:
         if self.distinct:
             got = map(set, got)
         row, ids = self._number(zip(prev, map(tuple, map(sorted, got))))
-        pairs = list(dict.fromkeys(codes))
-        ports = list(map(mod, pairs, repeat(self.width, len(pairs))))
-        senders = list(map(sub, pairs, ports))
         self.rounds.append((row, [(cid, (p, pads[p] + got))
                                   for (p, got), cid in ids.items()],
-                            (int_array(pairs), int_array(senders),
-                             int_array(ports))))
+                            int_array(list(dict.fromkeys(codes)))))
         self._pads = {cid: pads[p] for (p, _), cid in ids.items()}
 
     def _number(self, keys) -> tuple[array, dict]:
@@ -232,9 +226,9 @@ def _rounds(machine, partition, trace, max_rounds):
     for r in range(max_rounds + 1):
         if r == len(partition.rounds):
             partition.extend(plan)
-        row, classes, (codes, senders, ports) = partition.rounds[r]
+        row, classes, codes = partition.rounds[r]
         if r:
-            pairs = list(map(add, map(current.__getitem__, senders), ports))
+            pairs = [current[c - c % width] + c % width for c in codes]
             emitted, talked = dict.fromkeys(pairs), False
             for pair in emitted:
                 port = pair % width

@@ -30,6 +30,8 @@ from .graphs import PortNumberedGraph
 FAMILIES = ("g", "hb", "hw")
 COMPLEMENT = {"B": "W", "W": "B"}
 DEFAULT_MAX_NODES = 500_000
+# Where ball_size stops counting: far above any ball a machine can build.
+SIZE_CAP = 2 ** 62
 
 Path = tuple  # tuple of steps
 ROOT: Path = ()
@@ -103,7 +105,8 @@ def children(family: str, v: Path, d: int) -> list[Path]:
 
 
 def ball_size(family: str, d: int, depth: int, radius: int) -> int:
-    """Node count of the ball of ``radius`` around any node at ``depth``.
+    """Node count of the ball of ``radius`` around any node at ``depth``;
+    past :data:`SIZE_CAP` it stops counting and returns some larger number.
 
     A node at depth ``s`` has ``c(s)`` children: its degree at the root,
     one fewer below, none at depth 2d.  The nodes at most ``b`` steps down
@@ -112,19 +115,22 @@ def ball_size(family: str, d: int, depth: int, radius: int) -> int:
     steps up (j <= min(depth, radius)), that ancestor and its other
     ``c(depth - j) - 1`` children's ``down(depth - j + 1, radius - j - 1)``.
     """
-    kids = [_depth_degree(family, s, d) - (s > 0) for s in range(2 * d + 1)]
+    def kids(s):
+        return _depth_degree(family, s, d) - (s > 0)
 
     def down(s, b):
         if b < 0:
             return 0
         total = level = 1
         for k in range(s, min(s + b, 2 * d)):
-            level *= kids[k]
+            level *= kids(k)
             total += level
+            if total > SIZE_CAP:
+                break
         return total
 
     return down(depth, radius) + sum(
-        1 + (kids[depth - j] - 1) * down(depth - j + 1, radius - j - 1)
+        1 + (kids(depth - j) - 1) * down(depth - j + 1, radius - j - 1)
         for j in range(1, min(depth, radius) + 1))
 
 

@@ -7,7 +7,8 @@ observe in-ports; they are materialised for export and for ordering trace
 slots.  In the tree families both labels of an edge end coincide; random
 numberings sample them independently.  A node's in-labels share one dict
 with its out-labels until an in-label differs from its out-label, so a
-tree holds one label dict per node.
+tree holds one label dict per node.  Nodes keep the order ``add_node``
+first saw them in, which ``nodes``, the exports and :class:`RunPlan` follow.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class PortNumberedGraph:
     def __init__(self):
         self._out: dict[Any, dict[Any, Any]] = {}
         self._in: dict[Any, dict[Any, Any]] = {}
-        self._order: list[Any] = []
         self._tails: list[Any] = []
         self._heads: list[Any] = []
         self.colours: dict[Any, str] = {}
@@ -47,7 +47,6 @@ class PortNumberedGraph:
         if v not in self._out:
             self._plans.clear()
             self._out[v] = self._in[v] = {}
-            self._order.append(v)
         if colour is not None:
             self.colours[v] = colour
         return v
@@ -91,7 +90,7 @@ class PortNumberedGraph:
 
     @property
     def nodes(self) -> list:
-        return list(self._order)
+        return list(self._out)
 
     def edges(self) -> list[tuple]:
         return list(zip(self._tails, self._heads))
@@ -137,8 +136,8 @@ class PortNumberedGraph:
         labels above a leaf's degree and stay runnable.  A node whose in-
         and out-labels share one dict has it checked once.
         """
-        for v in self._order:
-            out, in_ = self._out[v], self._in[v]
+        for v, out in self._out.items():
+            in_ = self._in[v]
             for labels in ((out.values(),) if in_ is out
                            else (out.values(), in_.values())):
                 for lab in labels:
@@ -178,7 +177,7 @@ class PortNumberedGraph:
         """
         node_fmt = node_fmt or _default_node_fmt
         nodes = []
-        for v in self._order:
+        for v in self._out:
             rec: dict[str, Any] = {"id": node_fmt(v)}
             if v in self.colours:
                 rec["colour"] = self.colours[v]
@@ -204,6 +203,8 @@ class PortNumberedGraph:
         graph = cls()
         try:
             for rec in data["nodes"]:
+                if rec["id"] in graph._out:
+                    raise ValueError(f"node {rec['id']!r} is listed twice")
                 graph.add_node(rec["id"], rec.get("colour"))
                 if "true_degree" in rec:
                     graph.true_degree[rec["id"]] = int(rec["true_degree"])
@@ -232,7 +233,7 @@ class PortNumberedGraph:
                  "G": ("grey", "black")}
         marked = set(highlight)
         lines = ["graph {", "  node [shape=circle];"]
-        for v in self._order:
+        for v in self._out:
             attrs = []
             if v in self.colours:
                 fill, font = fills[self.colours[v]]
@@ -252,16 +253,16 @@ class PortNumberedGraph:
 class RunPlan:
     """The layout one synchronous run walks, fixed per graph and degree bound.
 
-    Node ``i`` is ``nodes[i]`` (``index[nodes[i]] == i``) with degree
-    ``degrees[i]``.  Edge ends are laid out flat, grouped by receiver in
-    node order and, per receiver, in in-port order: slot ``k`` carries what
-    ``nodes[senders[k]]`` writes on out-port ``ports[k]``, and node ``i``'s
-    slots run from ``bounds[i]`` up to ``bounds[i + 1]``; a pass that needs
-    per-node slices cuts them from the bounds (:meth:`slices`) and drops
-    them.  ``senders``, ``ports`` and ``bounds`` are :func:`int_array`
-    machine ints, not one Python int per slot.  ``partitions`` is the
-    executor's cache of node partitions per reception class, dropped with
-    the plan.
+    Node ``i`` is the graph's ``i``-th node, ``nodes[i]`` (``index[nodes[i]]
+    == i``), with degree ``degrees[i]``.  Edge ends are laid out flat,
+    grouped by receiver in node order and, per receiver, in in-port order:
+    slot ``k`` carries what ``nodes[senders[k]]`` writes on out-port
+    ``ports[k]``, and node ``i``'s slots run from ``bounds[i]`` up to
+    ``bounds[i + 1]``; a pass that needs per-node slices cuts them from the
+    bounds (:meth:`slices`) and drops them.  ``senders``, ``ports`` and
+    ``bounds`` are :func:`int_array` machine ints, not one Python int per
+    slot.  ``partitions`` is the executor's cache of node partitions per
+    reception class, dropped with the plan.
     """
 
     __slots__ = ("nodes", "index", "degrees", "senders", "ports", "bounds",
@@ -272,7 +273,7 @@ class RunPlan:
             raise DegreeBoundError(
                 f"graph max degree {graph.max_degree()} exceeds bound {delta}")
         graph.require_runnable(delta)
-        self.nodes = tuple(graph._order)
+        self.nodes = tuple(graph._out)
         self.degrees = tuple(len(graph._out[v]) for v in self.nodes)
         index = self.index = {v: i for i, v in enumerate(self.nodes)}
         senders, ports, bounds = [], [], [0]

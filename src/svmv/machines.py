@@ -23,14 +23,8 @@ MV = "mv"
 
 
 class _Epsilon:
-    """The distinguished "no message" value; a process-wide singleton."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Type of the one "no message" value, :data:`EPSILON`, compared with
+    ``is``; its repr ``eps`` enters theorem 1's message fingerprints."""
 
     def __repr__(self):
         return "eps"

@@ -81,8 +81,6 @@ def canonical_sv(delta: int) -> StateMachine:
     State is the node's view; the message on port ``j`` is ``(j, view)``.
     It never stops on its own -- callers bound it with ``max_rounds``.
     """
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
 
     def init(degree, local_input):
         return view(degree, local_input, 0, ())

@@ -122,6 +122,42 @@ def test_build_beyond_the_node_cap_is_refused_before_building(
     assert len(set(built)) == 22
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "g", "--d", "2", "--radius", "1"],
+    ["psw", "--d", "2", "--format", "dot"],
+], ids=["build", "psw-dot"])
+def test_out_dash_on_a_file_pair_command_is_usage_error(
+        tmp_path, monkeypatch, capsys, argv):
+    # stdout cannot take a .json and a .dot file: the command is refused
+    # before it builds or searches, and no file such as "-.dot" appears.
+    def refused(*args, **kwargs):
+        raise AssertionError("built or searched")
+
+    for name in ("build_ball", "build_full", "find_critical_psw"):
+        monkeypatch.setattr(f"svmv.cli.{name}", refused)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: --out - ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ball_past_any_buildable_size_is_refused_at_once(tmp_path, capsys):
+    # The whole tree has about 2d * log10(d) digits of nodes; counting
+    # stops far above any buildable ball, so the refusal does not wait on
+    # big-int products.
+    start = time.perf_counter()
+    for d in ("100000", "1000000"):
+        radius = str(2 * int(d))
+        assert main(["build", "--family", "g", "--d", d, "--radius", radius,
+                     "--out", str(tmp_path / "ball")]) == 3
+        assert capsys.readouterr().err == (
+            f"resource cap: ball exceeds 500000 nodes "
+            f"(family=g, d={d}, radius={radius})\n")
+    assert time.perf_counter() - start < 3
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_memory_error_is_a_resource_cap(monkeypatch, capsys):
     def exhausted(d, max_pairs):
         raise MemoryError
@@ -242,6 +278,47 @@ def test_check_pi_exit_codes(tmp_path):
                      "--candidate", str(bad), "--out", str(out)]) == 1
         assert json.loads(out.read_text())["violation"] == {
             "node": "x", "value": value, "allowed": ["W"]}
+
+
+def test_graph_json_that_lists_a_node_twice_is_usage_error(tmp_path, capsys):
+    # Read as one node, "a" would take the later colour, W, and the
+    # candidate below would pass.
+    graph = {"nodes": [{"id": "a", "colour": "B"}, {"id": "b", "colour": "B"},
+                       {"id": "a", "colour": "W"}],
+             "edges": [{"u": "a", "v": "b", "port_uv": 1, "port_vu": 1}]}
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(graph))
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text(json.dumps({"a": "B", "b": "W"}))
+    for args in (["simulate", "--inner", "pi-solver"],
+                 ["check-pi", "--candidate", str(candidate)]):
+        assert main([*args, "--graph", str(graph_file)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: malformed graph document: "
+            "node 'a' is listed twice\n")
+
+
+def test_check_pi_matches_non_string_ids_by_their_json_text(tmp_path,
+                                                           capsys):
+    graph = {"nodes": [{"id": 0, "colour": "B"}, {"id": 1, "colour": "W"}],
+             "edges": [{"u": 0, "v": 1, "port_uv": 1, "port_vu": 1}]}
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(graph))
+    candidate = tmp_path / "candidate.json"
+    out = tmp_path / "check.json"
+    argv = ["check-pi", "--graph", str(graph_file), "--candidate",
+            str(candidate), "--out", str(out)]
+    candidate.write_text(json.dumps({"0": "W", "1": "B"}))
+    assert main(argv) == 0
+    candidate.write_text(json.dumps({"0": "B", "1": "B"}))
+    assert main(argv) == 1
+    assert json.loads(out.read_text())["violation"] == {
+        "node": 0, "value": "B", "allowed": ["W"]}
+    # The ids 0 and "0" would both be the key "0".
+    graph["nodes"].append({"id": "0", "colour": "B"})
+    graph_file.write_text(json.dumps(graph))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_usage_error_exit_code():
