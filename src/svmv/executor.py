@@ -90,7 +90,10 @@ class ExecutionTrace:
     def state(self, r: int, v):
         if r < len(self._rows) or self.stopped_round is not None:
             row, held = self._rows[min(r, len(self._rows) - 1)]
-            return held[row[self._plan.index[v]]]
+            i = self._plan.index[v]
+            if i >= len(row):  # v joined the graph after the run
+                raise KeyError(v)
+            return held[row[i]]
         raise IndexError(f"round {r} not recorded and the run did not halt")
 
 

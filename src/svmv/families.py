@@ -413,12 +413,9 @@ def build_ball(family: str, d: int, center: Path, radius: int,
     whole tree records none.  A ball that would pass ``max_nodes`` is
     refused from its exact size, :func:`ball_size`, before a node is built.
 
-    One BFS pass, a level at a time, adds the nodes and lays the edges out
-    as ``PortNumberedGraph.add_edge`` would, each from its shallower end,
-    writing each node's one label dict (its out- and in-labels alike) and
-    the two edge lists itself.  A new node has no labels yet, so each edge
-    checks only the label the expanded node writes, and a collapse that
-    reuses one of its out-ports raises ``add_edge``'s ``NumberingError``.
+    One BFS pass adds each node's unseen neighbours through
+    ``PortNumberedGraph.add_branches``, each edge listed from its shallower
+    end, so a collapse that reuses an out-port raises ``NumberingError``.
     """
     if radius < 0:
         raise FormatError("radius must be >= 0")
@@ -430,37 +427,23 @@ def build_ball(family: str, d: int, center: Path, radius: int,
     lazy = FamilyView(family, d, collapse)
     graph = PortNumberedGraph()
     graph.add_node(center, node_colour(family, center))
-    labels, tails, heads = graph._out, graph._tails, graph._heads
-    level = [center]
+    level = [(center, None)]
     for _ in range(radius):
         below = []
-        for v in level:
-            at_v = labels[v]
-            for u, label in lazy.back_edges(v):
-                # The families are trees, so the one neighbour seen before
-                # is v's BFS parent, whose edge to v already exists.
-                if u in labels:
-                    continue
-                out_vu = lazy.out_label(v, u)
-                if out_vu in at_v.values():
-                    raise NumberingError(
-                        f"node {v!r} reuses out-port {out_vu!r}")
-                at_v[u] = out_vu
-                graph.add_node(u, node_colour(family, u))
-                labels[u][v] = label
-                if len(v) < len(u):
-                    tails.append(v)
-                    heads.append(u)
-                else:
-                    tails.append(u)
-                    heads.append(v)
-                below.append(u)
+        for v, parent in level:
+            # The families are trees, so the one neighbour seen before is
+            # v's BFS parent, whose edge to v already exists.
+            ends = [(u, node_colour(family, u), lazy.out_label(v, u), label,
+                     len(v) < len(u))
+                    for u, label in lazy.back_edges(v) if u != parent]
+            graph.add_branches(v, ends)
+            below.extend([(end[0], v) for end in ends])
         level = below
     # Every edge of a node at the radius but the one to its BFS parent is
     # cut off.
-    for v in level:
+    for v, _ in level:
         degree = lazy.degree(v)
-        if degree != len(labels[v]):
+        if degree != graph.degree(v):
             graph.true_degree[v] = degree
     return graph
 

@@ -5,10 +5,11 @@ towards ``v``; ``in_port(u, v)`` is the label under which that end is
 addressed when ``u`` receives.  Set- and multiset-reception machines never
 observe in-ports; they are materialised for export and for ordering trace
 slots.  In the tree families both labels of an edge end coincide; random
-numberings sample them independently.  A node's in-labels share one dict
-with its out-labels until an in-label differs from its out-label, so a
-tree holds one label dict per node.  Nodes keep the order ``add_node``
-first saw them in, which ``nodes``, the exports and :class:`RunPlan` follow.
+numberings sample them independently.  A node's adjacency is one flat
+tuple of ``(neighbour, out-label, in-label)`` triples in edge order, kept
+in a list by node position; one dict maps each node to its position, in the
+order ``add_node`` first saw them, which ``nodes``, the exports and
+:class:`RunPlan` follow.
 """
 
 from __future__ import annotations
@@ -24,17 +25,18 @@ from .errors import DegreeBoundError, FormatError, NumberingError
 class PortNumberedGraph:
     """Finite simple undirected graph with per-edge directional port labels.
 
-    Edge ``k`` joins ``_tails[k]`` and ``_heads[k]``, two parallel lists in
-    insertion order, so an edge costs two list slots and no tuple;
-    :meth:`edges` pairs them on read.  ``true_degree`` records the degree a
-    node has in the full structure a ball was cut from, for the nodes the
-    ball cuts edges from; consumers that need exact answers read
-    :meth:`declared_degree` to detect truncation.
+    ``_adj[_index[v]]`` is ``v``'s adjacency tuple.  Edge ``k`` joins
+    ``_tails[k]`` and ``_heads[k]``, two parallel lists in insertion order,
+    so an edge costs two list slots and no tuple; :meth:`edges` pairs them
+    on read.  ``true_degree`` records the degree a node has in the full
+    structure a ball was cut from, for the nodes the ball cuts edges from;
+    consumers that need exact answers read :meth:`declared_degree` to
+    detect truncation.
     """
 
     def __init__(self):
-        self._out: dict[Any, dict[Any, Any]] = {}
-        self._in: dict[Any, dict[Any, Any]] = {}
+        self._index: dict[Any, int] = {}
+        self._adj: list[tuple] = []
         self._tails: list[Any] = []
         self._heads: list[Any] = []
         self.colours: dict[Any, str] = {}
@@ -44,9 +46,10 @@ class PortNumberedGraph:
     # -- construction -----------------------------------------------------
 
     def add_node(self, v, colour: str | None = None):
-        if v not in self._out:
+        if v not in self._index:
             self._plans.clear()
-            self._out[v] = self._in[v] = {}
+            self._index[v] = len(self._adj)
+            self._adj.append(())
         if colour is not None:
             self.colours[v] = colour
         return v
@@ -61,70 +64,89 @@ class PortNumberedGraph:
             raise NumberingError("self-loops are not allowed")
         # Every check runs before a node is added, so a refused edge leaves
         # the graph as it was; a new node has no labels yet.
-        out_u, out_v = self._out.get(u, {}), self._out.get(v, {})
-        if v in out_u:
+        index, adj = self._index, self._adj
+        at_u = adj[index[u]] if u in index else ()
+        at_v = adj[index[v]] if v in index else ()
+        if v in at_u[0::3]:
             raise NumberingError(f"duplicate edge {u!r} -- {v!r}")
         in_uv = out_uv if in_uv is None else in_uv
         in_vu = out_vu if in_vu is None else in_vu
-        if out_uv in out_u.values():
-            raise NumberingError(f"node {u!r} reuses out-port {out_uv!r}")
-        if out_vu in out_v.values():
-            raise NumberingError(f"node {v!r} reuses out-port {out_vu!r}")
-        if in_uv in self._in.get(u, {}).values():
-            raise NumberingError(f"node {u!r} reuses in-port {in_uv!r}")
-        if in_vu in self._in.get(v, {}).values():
-            raise NumberingError(f"node {v!r} reuses in-port {in_vu!r}")
+        for w, at_w, label, k in ((u, at_u, out_uv, 1), (v, at_v, out_vu, 1),
+                                  (u, at_u, in_uv, 2), (v, at_v, in_vu, 2)):
+            _check_free(w, at_w, label, k)
         self.add_node(u)
         self.add_node(v)
         self._plans.clear()
-        for a, b, out_ab, in_ab in ((u, v, out_uv, in_uv),
-                                    (v, u, out_vu, in_vu)):
-            self._out[a][b] = out_ab
-            if in_ab != out_ab and self._in[a] is self._out[a]:
-                self._in[a] = dict(self._out[a])
-            self._in[a][b] = in_ab
+        adj[index[u]] = at_u + (v, out_uv, in_uv)
+        adj[index[v]] = at_v + (u, out_vu, in_vu)
         self._tails.append(u)
         self._heads.append(v)
 
+    def add_branches(self, v, ends):
+        """Join ``v`` to new nodes in one step, as ``add_node`` and
+        ``add_edge`` would: ``ends`` lists ``(u, colour, out_vu, out_uv,
+        v_first)``, in-labels equal out-labels, and ``v_first`` lists the
+        edge as ``(v, u)``, not ``(u, v)``.  Each ``u`` must be new, so only
+        ``v``'s labels can clash; they are checked before anything is added."""
+        index, adj = self._index, self._adj
+        grown = adj[index[v]]
+        for u, _, out_vu, _, _ in ends:
+            _check_free(v, grown, out_vu, 1)
+            _check_free(v, grown, out_vu, 2)
+            grown += (u, out_vu, out_vu)
+        self._plans.clear()
+        adj[index[v]] = grown
+        for u, colour, _, out_uv, v_first in ends:
+            index[u] = len(adj)
+            adj.append((v, out_uv, out_uv))
+            if colour is not None:
+                self.colours[u] = colour
+            self._tails.append(v if v_first else u)
+            self._heads.append(u if v_first else v)
+
     # -- access -----------------------------------------------------------
+
+    def _ends(self, v) -> tuple:
+        return self._adj[self._index[v]]
 
     @property
     def nodes(self) -> list:
-        return list(self._out)
+        return list(self._index)
 
     def edges(self) -> list[tuple]:
         return list(zip(self._tails, self._heads))
 
     def neighbours(self, v) -> list:
-        return list(self._out[v])
+        return list(self._ends(v)[0::3])
 
     def degree(self, v) -> int:
-        return len(self._out[v])
+        return len(self._ends(v)) // 3
 
     def declared_degree(self, v) -> int:
-        return self.true_degree.get(v, len(self._out[v]))
+        return self.true_degree.get(v, self.degree(v))
 
     def colour(self, v) -> str | None:
         return self.colours.get(v)
 
     def out_port(self, u, v):
-        return self._out[u][v]
+        at_u = self._ends(u)
+        return at_u[_find(at_u, v) + 1]
 
     def in_port(self, u, v):
-        return self._in[u][v]
+        at_u = self._ends(u)
+        return at_u[_find(at_u, v) + 2]
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._out.values()), default=0)
+        return max(map(len, self._adj), default=0) // 3
 
     # -- validation -------------------------------------------------------
 
     def is_proper(self) -> bool:
         """True iff every node's out- and in-port sets are exactly 1..deg."""
-        for v, adj in self._out.items():
-            want = set(range(1, len(adj) + 1))
-            in_adj = self._in[v]
-            if set(adj.values()) != want or (
-                    in_adj is not adj and set(in_adj.values()) != want):
+        for ends in self._adj:
+            outs, ins = ends[1::3], ends[2::3]
+            want = set(range(1, len(outs) + 1))
+            if set(outs) != want or (ins != outs and set(ins) != want):
                 return False
         return True
 
@@ -134,19 +156,18 @@ class PortNumberedGraph:
 
         Weaker than :meth:`is_proper`: the collapsed tree numberings carry
         labels above a leaf's degree and stay runnable.  A node whose in-
-        and out-labels share one dict has it checked once.
+        labels equal its out-labels, every node of a tree, has them checked
+        once.
         """
-        for v, out in self._out.items():
-            in_ = self._in[v]
-            for labels in ((out.values(),) if in_ is out
-                           else (out.values(), in_.values())):
+        for v, ends in zip(self._index, self._adj):
+            outs, ins = ends[1::3], ends[2::3]
+            for labels in ((outs,) if ins == outs else (outs, ins)):
                 for lab in labels:
                     if not isinstance(lab, int) or not 1 <= lab <= delta:
                         raise NumberingError(
                             f"node {v!r} carries port label {lab!r}, "
                             f"need integers in 1..{delta}")
                 if len(set(labels)) != len(labels):
-                    labels = list(labels)
                     lab = next(lab for i, lab in enumerate(labels)
                                if lab in labels[:i])
                     raise NumberingError(
@@ -177,7 +198,7 @@ class PortNumberedGraph:
         """
         node_fmt = node_fmt or _default_node_fmt
         nodes = []
-        for v in self._out:
+        for v in self._index:
             rec: dict[str, Any] = {"id": node_fmt(v)}
             if v in self.colours:
                 rec["colour"] = self.colours[v]
@@ -186,12 +207,14 @@ class PortNumberedGraph:
             nodes.append(rec)
         edges = []
         for u, v in zip(self._tails, self._heads):
+            at_u, at_v = self._ends(u), self._ends(v)
+            i, j = _find(at_u, v), _find(at_v, u)
             rec = {"u": node_fmt(u), "v": node_fmt(v),
-                   "port_uv": _label_text(self._out[u][v]),
-                   "port_vu": _label_text(self._out[v][u])}
-            for key, a, b in (("in_uv", u, v), ("in_vu", v, u)):
-                if self._in[a][b] != self._out[a][b]:
-                    rec[key] = _label_text(self._in[a][b])
+                   "port_uv": _label_text(at_u[i + 1]),
+                   "port_vu": _label_text(at_v[j + 1])}
+            for key, ends, k in (("in_uv", at_u, i), ("in_vu", at_v, j)):
+                if ends[k + 2] != ends[k + 1]:
+                    rec[key] = _label_text(ends[k + 2])
             edges.append(rec)
         return {"nodes": nodes, "edges": edges, "proper": self.is_proper()}
 
@@ -203,12 +226,17 @@ class PortNumberedGraph:
         graph = cls()
         try:
             for rec in data["nodes"]:
-                if rec["id"] in graph._out:
+                if rec["id"] in graph._index:
                     raise ValueError(f"node {rec['id']!r} is listed twice")
                 graph.add_node(rec["id"], rec.get("colour"))
                 if "true_degree" in rec:
                     graph.true_degree[rec["id"]] = int(rec["true_degree"])
             for rec in data["edges"]:
+                for end in (rec["u"], rec["v"]):
+                    if end not in graph._index:
+                        raise ValueError(
+                            f"edge {rec['u']!r} -- {rec['v']!r} names node "
+                            f"{end!r}, which the nodes do not list")
                 in_labels = {key: _parse_label(rec[key])
                              for key in ("in_uv", "in_vu") if key in rec}
                 graph.add_edge(rec["u"], rec["v"],
@@ -233,7 +261,7 @@ class PortNumberedGraph:
                  "G": ("grey", "black")}
         marked = set(highlight)
         lines = ["graph {", "  node [shape=circle];"]
-        for v in self._out:
+        for v in self._index:
             attrs = []
             if v in self.colours:
                 fill, font = fills[self.colours[v]]
@@ -243,23 +271,39 @@ class PortNumberedGraph:
             attr = (" [" + " ".join(attrs) + "]") if attrs else ""
             lines.append(f'  "{node_fmt(v)}"{attr};')
         for u, v in zip(self._tails, self._heads):
-            label = (f"{_label_text(self._out[u][v])}/"
-                     f"{_label_text(self._out[v][u])}")
+            label = (f"{_label_text(self.out_port(u, v))}/"
+                     f"{_label_text(self.out_port(v, u))}")
             lines.append(f'  "{node_fmt(u)}" -- "{node_fmt(v)}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _find(ends: tuple, v) -> int:
+    """Where neighbour ``v``'s triple starts in the adjacency ``ends``."""
+    try:
+        return 3 * ends[0::3].index(v)
+    except ValueError:
+        raise KeyError(v) from None
+
+
+def _check_free(v, ends: tuple, label, k: int):
+    """Refuse ``v``'s new out-label (``k`` 1) or in-label (2) if taken."""
+    if label in ends[k::3]:
+        side = "out" if k == 1 else "in"
+        raise NumberingError(f"node {v!r} reuses {side}-port {label!r}")
 
 
 class RunPlan:
     """The layout one synchronous run walks, fixed per graph and degree bound.
 
     Node ``i`` is the graph's ``i``-th node, ``nodes[i]`` (``index[nodes[i]]
-    == i``), with degree ``degrees[i]``.  Edge ends are laid out flat,
-    grouped by receiver in node order and, per receiver, in in-port order:
-    slot ``k`` carries what ``nodes[senders[k]]`` writes on out-port
-    ``ports[k]``, and node ``i``'s slots run from ``bounds[i]`` up to
-    ``bounds[i + 1]``; a pass that needs per-node slices cuts them from the
-    bounds (:meth:`slices`) and drops them.  ``senders``, ``ports`` and
+    == i``), with degree ``degrees[i]``; ``index`` is the graph's own dict,
+    so a node the graph gains later maps past ``nodes``.  Edge ends are laid
+    out flat, grouped by receiver in node order and, per receiver, in
+    in-port order: slot ``k`` carries what ``nodes[senders[k]]`` writes on
+    out-port ``ports[k]``, and node ``i``'s slots run from ``bounds[i]`` up
+    to ``bounds[i + 1]``; a pass that needs per-node slices cuts them from
+    the bounds (:meth:`slices`) and drops them.  ``senders``, ``ports`` and
     ``bounds`` are :func:`int_array` machine ints, not one Python int per
     slot.  ``partitions`` is the executor's cache of node partitions per
     reception class, dropped with the plan.
@@ -273,15 +317,17 @@ class RunPlan:
             raise DegreeBoundError(
                 f"graph max degree {graph.max_degree()} exceeds bound {delta}")
         graph.require_runnable(delta)
-        self.nodes = tuple(graph._out)
-        self.degrees = tuple(len(graph._out[v]) for v in self.nodes)
-        index = self.index = {v: i for i, v in enumerate(self.nodes)}
+        index, adj = graph._index, graph._adj
+        self.index, self.nodes = index, tuple(index)
+        self.degrees = tuple(len(ends) // 3 for ends in adj)
         senders, ports, bounds = [], [], [0]
-        for v in self.nodes:
-            in_ports = graph._in[v]
-            for u in sorted(in_ports, key=in_ports.__getitem__):
-                senders.append(index[u])
-                ports.append(graph._out[u][v])
+        for v, ends in zip(self.nodes, adj):
+            # In-labels are distinct per node, so no two neighbours compare.
+            for _, u in sorted(zip(ends[2::3], ends[0::3])):
+                i = index[u]
+                senders.append(i)
+                at_u = adj[i]
+                ports.append(at_u[_find(at_u, v) + 1])
             bounds.append(len(senders))
         self.senders = int_array(senders)
         self.ports = int_array(ports)

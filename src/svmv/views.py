@@ -19,6 +19,8 @@ import hashlib
 
 from .machines import EPSILON, SV, StateMachine
 
+# (degree, input, round) -> {children: view}, keyed on each view's own
+# children tuple, so a view costs no second key.
 _INTERN: dict = {}
 
 
@@ -68,10 +70,12 @@ def view(degree, input, round, children) -> ViewTree:
     tuple of the distinct pairs.  A tuple with repeats would count them,
     which set reception cannot."""
     children = tuple(sorted(set(children)))
-    key = (degree, input, round, children)
-    got = _INTERN.get(key)
+    bucket = _INTERN.get((degree, input, round))
+    if bucket is None:
+        bucket = _INTERN[degree, input, round] = {}
+    got = bucket.get(children)
     if got is None:
-        got = _INTERN[key] = ViewTree(degree, input, round, children)
+        got = bucket[children] = ViewTree(degree, input, round, children)
     return got
 
 

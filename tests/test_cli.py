@@ -64,19 +64,32 @@ def test_psw_json(tmp_path):
     assert doc["walk2"][0] == "(2,1)"
 
 
+def _count_built_nodes(monkeypatch) -> list:
+    """The nodes every graph adds from here on, one by one or in branches,
+    listed as they are added."""
+    add_node, add_branches = (PortNumberedGraph.add_node,
+                              PortNumberedGraph.add_branches)
+    built = []
+
+    def one(self, v, *args, **kwargs):
+        built.append(v)
+        return add_node(self, v, *args, **kwargs)
+
+    def branches(self, v, ends):
+        built.extend(end[0] for end in ends)
+        return add_branches(self, v, ends)
+
+    monkeypatch.setattr(PortNumberedGraph, "add_node", one)
+    monkeypatch.setattr(PortNumberedGraph, "add_branches", branches)
+    return built
+
+
 def test_psw_dot_beyond_the_node_cap_is_refused_before_building(
         tmp_path, monkeypatch, capsys):
     # The whole g tree has 1,747,626 nodes at d=5, past the 500,000 cap:
     # the closed-form size refuses it before the first node, the search
     # and either file.  At d=3 (190 nodes) the same patch sees every node.
-    add_node = PortNumberedGraph.add_node
-    built = []
-
-    def counted(self, *args, **kwargs):
-        built.append(args[0])
-        return add_node(self, *args, **kwargs)
-
-    monkeypatch.setattr(PortNumberedGraph, "add_node", counted)
+    built = _count_built_nodes(monkeypatch)
     small = tmp_path / "psw3"
     assert main(["psw", "--d", "3", "--format", "dot",
                  "--out", str(small)]) == 0
@@ -101,14 +114,7 @@ def test_build_beyond_the_node_cap_is_refused_before_building(
     # The g d=6 radius-11 ball around the root has 73,242,187 nodes and
     # the radius-3 ball around a depth-2 node of g d=3 has 22: past the
     # cap, each is refused from its exact size before the first node.
-    add_node = PortNumberedGraph.add_node
-    built = []
-
-    def counted(self, *args, **kwargs):
-        built.append(args[0])
-        return add_node(self, *args, **kwargs)
-
-    monkeypatch.setattr(PortNumberedGraph, "add_node", counted)
+    built = _count_built_nodes(monkeypatch)
     out = str(tmp_path / "ball")
     assert main(["build", "--family", "g", "--d", "6", "--radius", "11",
                  "--out", out]) == 3
@@ -243,6 +249,24 @@ def test_graph_json_that_add_edge_refuses_is_usage_error(tmp_path, capsys,
         assert main([*args, "--graph", str(graph_file)]) == 2
         assert capsys.readouterr().err == (
             f"usage error: malformed graph document: {refusal}\n")
+
+
+def test_graph_json_edge_to_an_unlisted_node_is_usage_error(tmp_path,
+                                                           capsys):
+    # The edge names z, which "nodes" does not list; loading it anyway
+    # would run z with no colour.
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps({
+        "nodes": [{"id": "a", "colour": "B"}],
+        "edges": [{"u": "a", "v": "z", "port_uv": 1, "port_vu": 1}]}))
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text(json.dumps({"a": "B", "z": "W"}))
+    for args in (["simulate", "--inner", "multiset-echo"],
+                 ["check-pi", "--candidate", str(candidate)]):
+        assert main([*args, "--graph", str(graph_file)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: malformed graph document: edge 'a' -- 'z' names "
+            "node 'z', which the nodes do not list\n")
 
 
 def test_simulate_that_does_not_halt_is_a_criterion_failure(tmp_path):

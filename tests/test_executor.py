@@ -346,10 +346,19 @@ def test_graph_changes_after_a_run_reach_the_next_run():
 
 
 def test_trace_keeps_the_layout_it_ran_on():
+    # The run plan shares the graph's node index, which keeps growing: the
+    # trace answers for its own nodes and refuses a later one as unknown.
     graph = path_graph(3)
     trace = execute(canonical_sv(2), graph, max_rounds=2)
+    states = [trace.state(2, v) for v in range(3)]
     graph.add_edge(2, 3, 2, 1)
+    graph.add_node(4)
     assert set(trace.messages[0]) == set(trace.messages[1]) == {0, 1, 2}
+    assert [trace.state(2, v) for v in range(3)] == states
+    assert list(trace.states[2]) == [0, 1, 2]
+    for v in (3, 4):
+        with pytest.raises(KeyError):
+            trace.state(2, v)
 
 
 def _counting_emit(machine):
@@ -405,11 +414,13 @@ def test_trace_reads_agree_before_and_after_the_dicts_are_built():
                                            (canonical_sv(4), False)])
 def test_trace_reads_match_reference_on_numberings_that_split(machine,
                                                                stops):
-    # Random in-labels split some nodes' label dicts; every read of the
-    # per-class records agrees with the reference, past the stop too.
+    # Random in-labels differ from the out-labels at some edge ends; every
+    # read of the per-class records agrees with the reference, past the
+    # stop too.
     rng = random.Random(11)
     graph = random_graph(rng, 12, 4)
-    assert any(graph._in[v] is not graph._out[v] for v in graph.nodes)
+    assert any(graph.in_port(v, u) != graph.out_port(v, u)
+               for v in graph.nodes for u in graph.neighbours(v))
     colouring = random_colouring(rng, graph)
     trace = execute(machine, graph, colouring, max_rounds=3)
     states, messages, stopped_round = reference_execute(

@@ -72,29 +72,45 @@ def _traced(call: str) -> tuple[int, int]:
 
 
 def test_theorem1_delta4_memory_peak():
-    # It reads about 10.1 MiB.  Python ints and tuples in the run plan, the
-    # partition rows and the graph's edge list, and frozensets in the
-    # partition and the views, read about 12.3; one slice object per node
-    # in the run plan and a true_degree entry for every node of the whole
-    # tree, about 13.9; running the unread round 2*delta - 1, about 18.
+    # It reads about 7.2 MiB.  A label dict per node, out- and in-maps from
+    # node to dict and an index of the run plan's own read about 10.0, and
+    # with them: Python ints and tuples in the run plan, the partition rows
+    # and the graph's edge list, and frozensets in the partition and the
+    # views, about 12.3; one slice object per node in the run plan and a
+    # true_degree entry for every node of the whole tree, about 13.9;
+    # running the unread round 2*delta - 1, about 18.
     peak, _ = _traced("run_theorem1(4)")
-    assert peak < 11.5 * 2**20
+    assert peak < 8.25 * 2**20
 
 
 def test_theorem2_d3_memory_peak():
-    # It reads about 7.3 MiB, and 9.6 with Python ints, tuples and
-    # frozensets in place of the packed run state and view children.
-    # Building both coloured trees before running either, so that two
-    # graphs, run plans and partitions are alive at once, read about 13.4.
+    # It reads about 6.7 MiB, and 7.2 with a label dict per node and a
+    # second key tuple per interned view; with those, Python ints, tuples
+    # and frozensets in place of the packed run state and view children
+    # read about 9.6.  Building both coloured trees before running either,
+    # so that two graphs, run plans and partitions are alive at once, read
+    # about 13.4.
     peak, _ = _traced("run_theorem2(3)")
-    assert peak < 8.75 * 2**20
+    assert peak < 8.0 * 2**20
 
 
 def test_theorem2_d3_interned_views_memory():
-    # The 5,422 views that stay interned read about 1.8 MiB, and 3.0 when
-    # each view's children were a frozenset.
+    # The 5,422 views that stay interned read about 1.5 MiB, 1.8 when each
+    # kept a (degree, input, round, children) key tuple of its own, and 3.0
+    # when each view's children were a frozenset.
     _, held = _traced("run_theorem2(3)")
-    assert held < 2.4 * 2**20
+    assert held < 2.0 * 2**20
+
+
+def test_collapsed_g_delta4_graph_and_plan_memory():
+    # The 13,121-node tree with its run plan reads about 4.0 MiB: one
+    # adjacency tuple per node and one node index, which the plan shares.
+    # A label dict per node, out- and in-maps and a plan index of its own
+    # read about 6.7.
+    _, held = _traced("from svmv.families import build_collapsed\n"
+                      "graph = build_collapsed('g', 4)\n"
+                      "graph.run_plan(4)")
+    assert held < 4.6 * 2**20
 
 
 def test_root_experiment_smallest_parameter():

@@ -37,16 +37,59 @@ def test_refused_edge_leaves_the_graph_as_it_was(edge, message):
     assert graph.run_plan(1) is plan
 
 
+def _rewrite_in_label(graph, v, u, label):
+    # Behind add_edge's back: v's in-label towards u, in v's adjacency tuple
+    # of (neighbour, out-label, in-label) triples.
+    i = graph._index[v]
+    ends = list(graph._adj[i])
+    ends[ends[0::3].index(u) * 3 + 2] = label
+    graph._adj[i] = tuple(ends)
+
+
+@pytest.mark.parametrize("ends,message", [
+    ([("e", None, 2, 1, True), ("f", None, 1, 1, True)],
+     "node 'a' reuses out-port 1"),
+    ([("e", None, 2, 1, True), ("f", None, 2, 1, True)],
+     "node 'a' reuses out-port 2"),
+    ([("e", None, 3, 1, True)], "node 'a' reuses in-port 3"),
+])
+def test_refused_branches_leave_the_graph_as_it_was(ends, message):
+    graph = PortNumberedGraph()
+    graph.add_edge("a", "b", 1, 1, in_uv=3)
+    plan = graph.run_plan(3)
+    with pytest.raises(NumberingError) as exc:
+        graph.add_branches("a", ends)
+    assert str(exc.value) == message
+    assert graph.nodes == ["a", "b"] and graph.edges() == [("a", "b")]
+    assert graph.run_plan(3) is plan
+
+
+def test_branches_join_like_edges():
+    # The same edges through add_edge and add_branches give the same graph.
+    one_by_one = PortNumberedGraph()
+    one_by_one.add_node("a", "B")
+    one_by_one.add_node("b", "W")
+    one_by_one.add_edge("a", "b", 2, 1)
+    one_by_one.add_node("c", "G")
+    one_by_one.add_edge("c", "a", 3, 1)
+    branched = PortNumberedGraph()
+    branched.add_node("a", "B")
+    branched.add_branches("a", [("b", "W", 2, 1, True),
+                                ("c", "G", 1, 3, False)])
+    assert branched.to_json() == one_by_one.to_json()
+    assert branched.neighbours("a") == ["b", "c"]
+
+
 def test_runnable_check_names_a_reused_label_put_in_behind_add_edge():
     graph = PortNumberedGraph()
     graph.add_edge("a", "b", 1, 1)
     graph.add_edge("b", "c", 2, 1, in_uv=3)
     graph.require_runnable(3)
-    graph._in["b"]["c"] = 1
+    _rewrite_in_label(graph, "b", "c", 1)
     with pytest.raises(NumberingError) as exc:
         graph.require_runnable(3)
     assert str(exc.value) == "node 'b' reuses port label 1"
-    graph._in["b"]["c"] = 4
+    _rewrite_in_label(graph, "b", "c", 4)
     with pytest.raises(NumberingError) as exc:
         graph.require_runnable(3)
     assert str(exc.value) == \
@@ -54,9 +97,14 @@ def test_runnable_check_names_a_reused_label_put_in_behind_add_edge():
 
 
 @pytest.mark.parametrize("family,d", [("g", 3), ("hb", 2), ("hw", 2)])
-def test_tree_nodes_keep_one_label_dict(family, d):
+def test_tree_nodes_keep_one_adjacency_tuple(family, d):
+    # One flat tuple of (neighbour, out-label, in-label) triples per node,
+    # by node position, and every in-label equals its out-label.
     graph = build_collapsed(family, d)
-    assert all(graph._in[v] is graph._out[v] for v in graph.nodes)
+    assert len(graph._adj) == len(graph._index) == len(graph.nodes)
+    for v, ends in zip(graph.nodes, graph._adj):
+        assert list(ends[0::3]) == graph.neighbours(v)
+        assert ends[1::3] == ends[2::3]
 
 
 def _path_with_two_differing_in_labels():
@@ -68,31 +116,54 @@ def _path_with_two_differing_in_labels():
     return graph
 
 
+def _split(graph) -> list:
+    """The nodes that split: one of their in-labels differs from the
+    out-label on the same edge end."""
+    return [v for v in graph.nodes
+            if any(graph.in_port(v, u) != graph.out_port(v, u)
+                   for u in graph.neighbours(v))]
+
+
+def _labels(graph, v) -> tuple[dict, dict]:
+    return ({u: graph.out_port(v, u) for u in graph.neighbours(v)},
+            {u: graph.in_port(v, u) for u in graph.neighbours(v)})
+
+
 def test_only_nodes_with_a_differing_in_label_split():
     graph = _path_with_two_differing_in_labels()
-    assert [v for v in graph.nodes if graph._in[v] is not graph._out[v]] \
-        == ["b", "d"]
-    assert graph._out["b"] == {"a": 1, "c": 2}
-    assert graph._in["b"] == {"a": 1, "c": 3}
-    assert graph._out["d"] == {"c": 1} and graph._in["d"] == {"c": 2}
+    assert _split(graph) == ["b", "d"]
+    assert graph._adj[graph._index["b"]] == ("a", 1, 1, "c", 2, 3)
+    assert _labels(graph, "b") == ({"a": 1, "c": 2}, {"a": 1, "c": 3})
+    assert _labels(graph, "d") == ({"c": 1}, {"c": 2})
     assert graph.in_port("c", "d") == graph.out_port("c", "d") == 2
     text = graph.to_json()
     loaded = PortNumberedGraph.from_json(text)
     assert loaded.to_json() == text
-    assert [v for v in loaded.nodes
-            if loaded._in[v] is not loaded._out[v]] == ["b", "d"]
+    assert _split(loaded) == ["b", "d"]
 
 
 def test_reused_in_port_is_named_on_shared_and_split_nodes():
+    # a's in-labels equal its out-labels; b's split.
     graph = _path_with_two_differing_in_labels()
     with pytest.raises(NumberingError) as exc:
         graph.add_edge("a", "e", 2, 1, in_uv=1)
     assert str(exc.value) == "node 'a' reuses in-port 1"
-    assert graph._in["a"] is graph._out["a"] == {"b": 1}
+    assert _labels(graph, "a") == ({"b": 1}, {"b": 1})
     with pytest.raises(NumberingError) as exc:
         graph.add_edge("b", "e", 3, 1)
     assert str(exc.value) == "node 'b' reuses in-port 3"
-    assert graph._out["b"] == {"a": 1, "c": 2}
+    assert _labels(graph, "b") == ({"a": 1, "c": 2}, {"a": 1, "c": 3})
+    assert graph.nodes == ["a", "b", "c", "d"]
+
+
+def test_edge_to_an_unlisted_node_is_refused():
+    # Every node an edge names must be listed under "nodes".
+    doc = {"nodes": [{"id": "a"}],
+           "edges": [{"u": "a", "v": "z", "port_uv": 1, "port_vu": 1}]}
+    with pytest.raises(FormatError) as exc:
+        PortNumberedGraph.from_json_dict(doc)
+    assert str(exc.value) == ("malformed graph document: edge 'a' -- 'z' "
+                              "names node 'z', which the nodes do not list")
 
 
 def test_self_loops_rejected():
