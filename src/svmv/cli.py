@@ -23,7 +23,7 @@ from .problem import COLOURS, check_pi, solve_pi_mv
 from .reproduce import PSW_D_MAX, rows_to_csv, run_reproduction
 from .simulate import multiset_echo, run_simulation
 from .experiments import run_theorem1, run_theorem2
-from .walks import DEFAULT_MAX_PAIRS, find_critical_psw, verify_psw
+from .walks import find_critical_psw, verify_psw
 
 INNER_MACHINES = {
     "pi-solver": solve_pi_mv,
@@ -75,7 +75,7 @@ def cmd_psw(args) -> int:
             f"psw searches are capped at d <= {PSW_D_MAX} (got {args.d})")
     # Built first, so a tree past the node cap is refused before the search.
     ball = build_full("g", args.d) if dot else None
-    k, witness = find_critical_psw(args.d, max_pairs=args.max_pairs)
+    k, witness = find_critical_psw(args.d)
     audit = verify_psw(witness, args.d, allow_mirrored=True)
     payload = {
         "d": args.d,
@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psw", help="critical separating-walk search")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_psw)

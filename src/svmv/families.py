@@ -26,6 +26,7 @@ from typing import Any
 
 from .errors import FormatError, NumberingError, ResourceLimitError
 from .graphs import PortNumberedGraph
+from .views import ViewTree, view
 
 FAMILIES = ("g", "hb", "hw")
 COMPLEMENT = {"B": "W", "W": "B"}
@@ -249,16 +250,16 @@ class FamilyView:
     alone: the first time a key is read, ``children`` and ``out_label`` run
     on a stand-in path that keeps only the key's steps.  An entry holds the
     parent's label towards ``v``, the children's steps with their labels
-    towards ``v``, and the neighbours' radius-0 keys with those labels.
-    The rules thus run once per class, and a view holds at most O(d^3)
-    entries (g: 87 at d=5, hb/hw: 172).  The table lives and dies with the
-    view.
+    towards ``v`` and their radius-1 keys, and the neighbours' radius-0
+    keys with those labels.  The rules thus run once per class, and a view
+    holds at most O(d^3) entries (g: 87 at d=5, hb/hw: 172).  The table
+    lives and dies with the view, as do the memos of ``view_of``.
 
-    Two methods read the table.  ``back_edges(v)`` lists a node's
-    neighbours as paths.  ``key_edges(key, radius)`` lists them as their
-    suffix keys for ``radius - 1``, and ``key_local(key)`` gives the
-    degree and local input, both read off a suffix key alone; so the walk
-    search and bisimilarity step from key to key and never build a path.
+    ``back_edges(v)`` lists a node's neighbours as paths.  Read off a
+    suffix key alone, ``key_edges(key, radius)`` lists them as their keys
+    for ``radius - 1``, ``key_local(key)`` gives the degree and input, and
+    ``view_of`` builds set-reception views: bisimilarity and the psw
+    search never build a path.
 
     A view reads its collapse once: the table keeps labels with the collapse
     applied, so ``family``, ``d`` and ``collapse`` are read-only.
@@ -277,9 +278,13 @@ class FamilyView:
         self._d = d
         self._collapse = collapse
         # suffix_key(v, 1) -> (parent's label towards v or None,
-        #                      (((child step,), its label towards v), ...),
+        #                      (((child step,), its label towards v,
+        #                        the child's suffix_key for 1), ...),
         #                      key_edges(that key, 1), which it fixes)
         self._table: dict[tuple, tuple] = {}
+        # (key, parent's view, round) -> view_of; view -> restrict(view)
+        self._views: dict[tuple, ViewTree] = {}
+        self._restricted: dict[ViewTree, ViewTree] = {}
         self._degrees = [_depth_degree(family, depth, d)
                          for depth in range(2 * d + 1)]
 
@@ -315,12 +320,13 @@ class FamilyView:
             # in for the ones it dropped.
             v = (None,) * (depth - len(steps)) + steps
             up = self.out_label(v[:-1], v) if depth else None
-            down = tuple((u[-1:], self.out_label(u, v))
+            down = tuple((u[-1:], self.out_label(u, v),
+                          (depth + 1, self._trim(steps + u[-1:], 1)))
                          for u in children(self._family, v, self._d))
             near = [((depth - 1, self._trim(steps[:-1], 0)), up)] \
                 if depth else []
             near.extend([((depth + 1, self._trim(step, 0)), label)
-                         for step, label in down])
+                         for step, label, _ in down])
             entry = self._table[depth, steps] = up, down, near
         return entry
 
@@ -329,7 +335,7 @@ class FamilyView:
         the children in rule order."""
         up, down, _ = self._entry(len(v), self._trim(v, 1))
         out = [(v[:-1], up)] if v else []
-        out.extend([(v + step, label) for step, label in down])
+        out.extend([(v + step, label) for step, label, _ in down])
         return out
 
     def key_edges(self, key: tuple, radius: int) -> list[tuple[tuple, Any]]:
@@ -352,13 +358,46 @@ class FamilyView:
         # the child's step.
         head = self._trim(steps, radius - 2)
         out.extend([((depth + 1, head + step), label)
-                    for step, label in down])
+                    for step, label, _ in down])
         return out
 
     def key_local(self, key: tuple) -> tuple:
         """Degree and local input of the nodes whose suffix key is ``key``."""
         depth, steps = key
         return self._degrees[depth], node_colour(self._family, steps)
+
+    def view_of(self, key: tuple, parent, r: int) -> ViewTree:
+        """The round-``r`` set-reception view of the nodes of type ``key``,
+        their ``suffix_key`` for 1, whose parent's round-``r - 1`` view is
+        ``parent``: None at the root, and ignored at round 0.  A child's
+        parent's view is this node's at ``r - 2``, whose own parent's is
+        ``parent`` restricted twice.  Memoised beside the rule table."""
+        if r == 0:
+            parent = None
+        got = self._views.get((key, parent, r))
+        if got is None:
+            depth, steps = key
+            up, down, _ = self._entry(depth, steps)
+            heard = [(up, parent)] if depth and r else []
+            if r:
+                grand = self.restrict(self.restrict(parent)) \
+                    if depth and r >= 3 else None
+                own = self.view_of(key, grand, r - 2) if r >= 2 else None
+                heard.extend([(label, self.view_of(child, own, r - 1))
+                              for _, label, child in down])
+            got = self._views[key, parent, r] = view(*self.key_local(key),
+                                                     r, heard)
+        return got
+
+    def restrict(self, v: ViewTree) -> ViewTree:
+        """The round-``r - 1`` view inside a round-``r`` view, r >= 1; that
+        of a round-1 view is its bare degree and input."""
+        got = self._restricted.get(v)
+        if got is None:
+            got = self._restricted[v] = view(
+                v.degree, v.input, v.round - 1, () if v.round == 1 else
+                [(label, self.restrict(child)) for label, child in v.children])
+        return got
 
     def out_label(self, u: Path, v: Path):
         label = pi(self._family, u, v)

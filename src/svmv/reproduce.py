@@ -30,8 +30,9 @@ DESK_SCALE_CAPS = ("walk search d<=5; bisimilarity radius runs d<=4; "
                    "50M states; parameters d>=6 exceed the memory budget, "
                    "so the criteria above stand in for full-scale numbers")
 # The largest d a psw search runs for, in a reproduce row or through
-# ``svmv psw``: d=7 takes about 7 s and 180 MiB, d=8 more than 3 GB.
-PSW_D_MAX = 7
+# ``svmv psw``: its view memo holds 316,525 entries at d=8 (7-9 s, about
+# 250 MiB) and about 5M at d=9, some 160 s and 7 GiB.
+PSW_D_MAX = 8
 BISIM_D_VALUES = (2, 3, 4)
 THEOREM1_DELTAS = (2, 3, 4)
 THEOREM2_D_VALUES = (2, 3)

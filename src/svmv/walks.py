@@ -4,32 +4,24 @@ A walk pair starts at the two depth-1 nodes (1,0) and (2,1) and moves both
 walks in lockstep so that the label each new node writes back towards the
 previous one agrees across the walks.  Walks may revisit nodes.  A pair
 separates when one end has a neighbour whose back-label the other end
-cannot match; the shortest separating length is found by breadth-first
-search over pair states, with its horizon deepened one step at a time.
+cannot match.
 
-Per-label neighbour uniqueness in the generalised numbering makes the
-successor of a walk node a function of the back-label alone, so pair states
-need no history.  With m moves left to the search horizon, a walk end's
-future is fixed by its ``suffix_key`` for radius m + 1 (the last level
-still reads back-labels), so the search runs on pairs of keys and keeps
-one pair per pair of keys at each level.  Deepening the horizon keeps
-these keys as short as the answer allows: the pass that finds the
-separating length 2d-3 keys its states for 2d-3 moves, not for the
-construction's bound 2d-1.  It never builds a path: the witness is
-rebuilt from its label sequence by ``walk_pair_from_labels``.
+Per-label neighbour uniqueness in the generalised numbering makes a
+label sequence fix the pair.  The shortest separating length is one less
+than the first round at which the two starts' set-reception views differ,
+and descending both views reads a witness's labels, which
+``walk_pair_from_labels`` replays into walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
-from .errors import FormatError, InternalInconsistencyError, ResourceLimitError
+from .errors import FormatError, InternalInconsistencyError
 from .families import FamilyView, Path, format_path, validate_path
 
 START_1: Path = ((1, 0),)
 START_2: Path = ((2, 1),)
-DEFAULT_MAX_PAIRS = 50_000_000
 
 PSW = "psw"
 PCW = "pcw"
@@ -69,96 +61,68 @@ def successor(view: FamilyView, v: Path, label) -> Path | None:
 
 
 def _back_label_map(view: FamilyView, v: Path) -> dict:
-    """Back-label -> neighbour of ``v``; raises when a label repeats, since
-    every search here relies on per-label uniqueness."""
-    return _by_label(view.back_edges(v), v, format_path)
+    """Back-label -> neighbour of ``v``."""
+    edges = view.back_edges(v)
+    _unique(format_path(v), [lab for _, lab in edges])
+    return {lab: u for u, lab in edges}
 
 
-def _by_label(edges, node, fmt) -> dict:
-    out = {lab: u for u, lab in edges}
-    if len(out) != len(edges):
-        labels = [lab for _, lab in edges]
+def _unique(where: str, labels):
+    """Raise unless each label names one neighbour, as walk pairs need."""
+    if len(set(labels)) != len(labels):
         raise InternalInconsistencyError(
-            f"neighbours of {fmt(node)} share back-labels {labels}; "
+            f"neighbours of {where} share back-labels {labels}; "
             f"per-label uniqueness is violated")
-    return out
 
 
-def _format_key(key) -> str:
-    depth, steps = key
-    return f"the depth-{depth} nodes ending {format_path(steps)}"
-
-
-def find_critical_psw(d: int, max_pairs: int = DEFAULT_MAX_PAIRS
-                      ) -> tuple[int, WalkPair]:
+def find_critical_psw(d: int) -> tuple[int, WalkPair]:
     """Minimal separating length in the plain tree for ``d`` plus a witness.
 
-    Breadth-first search over pair states from ((1,0)), ((2,1)); a state is
-    separating when the two ends' back-label sets differ (either side may
-    own the unmatched label).  A level is scanned whole before it is
-    expanded, so the length is minimal.
+    Find the first round R <= 2d-1 at which the set-reception views of
+    (1,0) and (2,1), ``FamilyView.view_of``, are different objects.
+    Descend both, always along the smallest label whose two children
+    differ, until their label sets differ.  The labels read rebuild the
+    pair by ``walk_pair_from_labels``, mirrored when (2,1)'s end owns the
+    unmatched label.
 
-    The search deepens its horizon h = 1, 2, ... up to 2d-1 (Korf 1985).
-    Each pass is a complete search to depth h, so the first pass that
-    separates finds the minimal length; aborts loudly if the pass for
-    2d-1 finds nothing, which would contradict the construction.  A
-    level-j state is the pair of the ends' ``suffix_key`` values for
-    radius h - j + 1, the moves left plus the back-labels read at the last
-    level, so pairs with the same label futures within the horizon are one
-    state and each level keeps a state once.  The search steps from key to
-    key with ``FamilyView.key_edges`` and keeps, per state, its parent's
-    index and the label that led to it; the witness is rebuilt from those
-    labels by ``walk_pair_from_labels``.  ``max_pairs`` caps the states of
-    all passes together: 525 at d=4 and 4,067 at d=5.
+    Minimality: with unique back-labels, a separating pair of length k
+    splits the start views by round k + 1, since the ends' round-1 views
+    differ and each shared label carries a difference one round up.  So
+    views equal through round R - 1 rule out any pair shorter than the
+    R - 1 labels read.  View children drop repeated (label, child) pairs,
+    so the rule-table entries the views read are checked for repeated
+    labels instead; a repeat, or no split by round 2d-1, raises
+    ``InternalInconsistencyError``.
     """
     if d < 2:
         raise FormatError("d must be >= 2")
     view = FamilyView("g", d)
-    states = 0
-    for horizon in range(1, 2 * d):
-        radius = horizon + 1
-        frontier = [(view.suffix_key(START_1, radius),
-                     view.suffix_key(START_2, radius))]
-        history = []  # per later level: (parent's index, label) per state
-        states += 1
-        for depth in range(horizon + 1):
-            maps = {}
-            for key in chain.from_iterable(frontier):
-                if key not in maps:
-                    maps[key] = _by_label(view.key_edges(key, radius), key,
-                                          _format_key)
-            level = [(maps[x], maps[y]) for x, y in frontier]
-            for i, (m1, m2) in enumerate(level):
-                if m1.keys() != m2.keys():
-                    labels = []
-                    for back in reversed(history):
-                        i, label = back[i]
-                        labels.append(label)
-                    labels.reverse()
-                    return depth, walk_pair_from_labels(
-                        d, labels, swap=not m1.keys() - m2.keys())
-            if depth == horizon:
-                break  # no separation within this horizon: deepen
-            found = {}  # state -> (parent's index, label), in BFS order
-            for i, (m1, m2) in enumerate(level):
-                for label in sorted(m1):
-                    child = (m1[label], m2[label])
-                    if child in found:
-                        continue
-                    if states >= max_pairs:
-                        raise ResourceLimitError(
-                            f"pair search exceeded {max_pairs} states "
-                            f"(d={view.d})")
-                    found[child] = (i, label)
-                    states += 1
-            if not found:
-                raise InternalInconsistencyError(
-                    f"pair frontier died out for d={d}")
-            frontier = list(found)
-            history.append(list(found.values()))
-            radius -= 1
-    raise InternalInconsistencyError(
-        f"no separating pair within depth {2 * d - 1} for d={d}")
+    root, *starts = (view.suffix_key(v, 1) for v in ((), START_1, START_2))
+    for r in range(1, 2 * d):
+        above = view.view_of(root, None, r - 1)
+        v1, v2 = (view.view_of(key, above, r) for key in starts)
+        if v1 is not v2:
+            break
+    for depth, steps in view._table:
+        up, down, _ = view._entry(depth, steps)
+        _unique(f"the depth-{depth} nodes ending {format_path(steps)}",
+                [up] * (depth > 0) + [label for _, label, _ in down])
+    if v1 is v2:
+        raise InternalInconsistencyError(
+            f"the start views do not split by round {2 * d - 1} for d={d}")
+    labels = []
+    m1, m2 = dict(v1.children), dict(v2.children)
+    while m1.keys() == m2.keys():
+        label = min((lab for lab in m1 if m1[lab] is not m2[lab]),
+                    default=None)
+        if label is None:
+            raise InternalInconsistencyError(
+                f"round-{v1.round} views differ in no child (d={d})")
+        labels.append(label)
+        v1, v2 = m1[label], m2[label]
+        m1, m2 = dict(v1.children), dict(v2.children)
+    return len(labels), walk_pair_from_labels(
+        d, labels, swap=not m1.keys() - m2.keys())
 
 
 def verify_psw(pair: WalkPair, d: int, *,
@@ -177,10 +141,9 @@ def verify_psw(pair: WalkPair, d: int, *,
     if len(pair.labels) != k:
         return VerifyResult(INVALID, "label sequence length mismatch")
     starts = (w1[0], w2[0])
-    if starts != (START_1, START_2):
-        if not (allow_mirrored and starts == (START_2, START_1)):
-            return VerifyResult(
-                INVALID, "walks must start at (1,0) and (2,1)")
+    if starts != (START_1, START_2) and not (
+            allow_mirrored and starts == (START_2, START_1)):
+        return VerifyResult(INVALID, "walks must start at (1,0) and (2,1)")
     for walk in (w1, w2):
         for v in walk:
             try:
@@ -207,8 +170,7 @@ def verify_psw(pair: WalkPair, d: int, *,
     if k > 2 * d - 3:
         return VerifyResult(INVALID, f"length {k} exceeds 2d-3 = {2 * d - 3}")
     m1 = _back_label_map(view, w1[-1])
-    m2 = _back_label_map(view, w2[-1])
-    extra = sorted(set(m1) - set(m2))
+    extra = m1.keys() - _back_label_map(view, w2[-1]).keys()
     if not extra:
         return VerifyResult(PCW, None)
     if pair.separating_label is not None:
@@ -242,9 +204,7 @@ def walk_pair_from_labels(d: int, labels, *, swap: bool = False) -> WalkPair:
             walk.append(nxt)
         walks.append(tuple(walk))
     m1 = _back_label_map(view, walks[0][-1])
-    m2 = _back_label_map(view, walks[1][-1])
-    extra = sorted(set(m1) - set(m2))
-    if extra:
-        return WalkPair(walks[0], walks[1], tuple(labels),
-                        extra[0], m1[extra[0]], swap)
-    return WalkPair(walks[0], walks[1], tuple(labels), mirrored=swap)
+    extra = min(m1.keys() - _back_label_map(view, walks[1][-1]).keys(),
+                default=None)
+    return WalkPair(walks[0], walks[1], tuple(labels), extra, m1.get(extra),
+                    swap)

@@ -165,7 +165,7 @@ def test_ball_past_any_buildable_size_is_refused_at_once(tmp_path, capsys):
 
 
 def test_memory_error_is_a_resource_cap(monkeypatch, capsys):
-    def exhausted(d, max_pairs):
+    def exhausted(d):
         raise MemoryError
 
     monkeypatch.setattr("svmv.cli.find_critical_psw", exhausted)
@@ -348,6 +348,13 @@ def test_check_pi_matches_non_string_ids_by_their_json_text(tmp_path,
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["bisim", "--family", "g"])
+    assert err.value.code == 2
+
+
+def test_psw_has_no_state_cap_flag():
+    # The view descent keeps no pair states, so --max-pairs is gone.
+    with pytest.raises(SystemExit) as err:
+        main(["psw", "--max-pairs", "5", "--d", "3"])
     assert err.value.code == 2
 
 
@@ -544,7 +551,7 @@ def test_input_outside_the_model_is_usage_error(tmp_path, args):
 
 def test_reproduce_beyond_the_psw_cap_is_refused_before_searching(tmp_path):
     start = time.perf_counter()
-    result = _run_cli(["reproduce", "--seed", "0", "--d-max", "8"],
+    result = _run_cli(["reproduce", "--seed", "0", "--d-max", "9"],
                       cwd=tmp_path, hash_seed="0")
     assert time.perf_counter() - start < 10
     assert result.returncode == 3, result.stderr
@@ -555,14 +562,14 @@ def test_reproduce_beyond_the_psw_cap_is_refused_before_searching(tmp_path):
 
 def test_psw_beyond_the_cap_is_refused_before_searching(monkeypatch,
                                                         capsys):
-    def searched(d, max_pairs):
+    def searched(d):
         raise AssertionError(f"searched d={d}")
 
     monkeypatch.setattr("svmv.cli.find_critical_psw", searched)
-    for d in ("8", "9"):
+    for d in ("9", "10"):
         assert main(["psw", "--d", d]) == 3
         assert capsys.readouterr().err == (
-            f"resource cap: psw searches are capped at d <= 7 (got {d})\n")
+            f"resource cap: psw searches are capped at d <= 8 (got {d})\n")
 
 
 # Values the argv fuzz draws from.  A value starting with "@" names a file
@@ -577,8 +584,7 @@ ARGV_SPACE = {
     "build": {"--family": FAMILY_NAMES, "--d": NUMBERS, "--radius": NUMBERS,
               "--center": PATHS, "--collapse": None,
               "--max-nodes": ["-1", "0", "1", "5", "500000"]},
-    "psw": {"--d": NUMBERS, "--max-pairs": ["0", "1", "10", "50000000"],
-            "--format": ["json", "dot", "svg"]},
+    "psw": {"--d": NUMBERS, "--format": ["json", "dot", "svg"]},
     "bisim": {"--family": FAMILY_NAMES, "--d": NUMBERS, "--a": PATHS,
               "--b": PATHS, "--radius": NUMBERS, "--collapsed": None},
     "theorem1": {"--delta": NUMBERS},
@@ -588,7 +594,7 @@ ARGV_SPACE = {
     "check-pi": {"--graph": FILES, "--candidate": FILES},
     # A valid reproduce takes seconds and has its own tests above; the fuzz
     # draws only --d-max values that the command must refuse.
-    "reproduce": {"--seed": NUMBERS, "--d-max": ["-1", "0", "1", "8", "x"]},
+    "reproduce": {"--seed": NUMBERS, "--d-max": ["-1", "0", "1", "9", "x"]},
 }
 
 

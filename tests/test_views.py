@@ -1,5 +1,7 @@
+import pytest
+
 from svmv.executor import execute
-from svmv.families import build_collapsed
+from svmv.families import FamilyView, build_collapsed, family_collapse
 from svmv.graphs import PortNumberedGraph
 from svmv.views import canonical_sv, view
 
@@ -55,3 +57,27 @@ def test_first_branch_views_split_exactly_at_gathering_bound():
             assert trace.states[r][u] == trace.states[r][w]
         last = 2 * delta - 2
         assert trace.states[last][u] != trace.states[last][w]
+
+
+@pytest.mark.parametrize("family,d", [("g", 2), ("g", 3), ("hb", 2),
+                                      ("hw", 3)])
+def test_family_views_are_the_executor_states(family, d):
+    # FamilyView.view_of builds each node's view from its table type and
+    # its parent's view one round earlier; the executor runs canonical_sv
+    # on the materialised tree.  Both must give the same interned object
+    # for every node and every round through 2d.
+    graph = build_collapsed(family, d)
+    delta = d if family == "g" else 2 * d - 1
+    trace = execute(canonical_sv(delta), graph, max_rounds=2 * d)
+    lazy = FamilyView(family, d, family_collapse(family, d))
+    seen = {}
+
+    def view_at(v, r):
+        if (v, r) not in seen:
+            parent = view_at(v[:-1], r - 1) if v and r else None
+            seen[v, r] = lazy.view_of(lazy.suffix_key(v, 1), parent, r)
+        return seen[v, r]
+
+    for v in graph.nodes:
+        for r in range(2 * d + 1):
+            assert view_at(v, r) is trace.state(r, v)

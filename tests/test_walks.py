@@ -2,8 +2,7 @@ import pytest
 
 from oracles import brute_critical_length
 from svmv.bisim import PointedInstance, max_bisim_radius
-from svmv.errors import (FormatError, InternalInconsistencyError,
-                         ResourceLimitError)
+from svmv.errors import FormatError, InternalInconsistencyError
 from svmv.families import FamilyView, ROOT
 from svmv.walks import (INVALID, PCW, PSW, WalkPair, find_critical_psw,
                         successor, verify_psw, walk_pair_from_labels)
@@ -123,47 +122,66 @@ def test_duplicate_back_label_is_an_internal_error(monkeypatch):
         find_critical_psw(3)
 
 
-def test_duplicate_back_label_stops_the_key_search(monkeypatch):
-    # The same fault on the key level stops the search itself, naming the
-    # class whose neighbours share a label.
-    key_edges = FamilyView.key_edges
+def test_duplicate_back_label_stops_the_view_search(monkeypatch):
+    # The same fault in the rule table stops the search itself, naming the
+    # class whose neighbours share a label.  The views cannot show it:
+    # they keep each (label, child) pair once.
+    entry = FamilyView._entry
 
-    def repeated(self, key, radius):
-        edges = list(key_edges(self, key, radius))
-        if len(edges) > 1:
-            edges[-1] = (edges[-1][0], edges[0][1])
-        return edges
+    def repeated(self, depth, steps):
+        up, down, near = entry(self, depth, steps)
+        if len(down) > 1:
+            step, _, child = down[-1]
+            down = down[:-1] + ((step, down[0][1], child),)
+        return up, down, near
 
-    monkeypatch.setattr(FamilyView, "key_edges", repeated)
+    monkeypatch.setattr(FamilyView, "_entry", repeated)
     with pytest.raises(InternalInconsistencyError, match="the depth-"):
         find_critical_psw(3)
 
 
-@pytest.mark.parametrize("d,total", [(4, 525), (5, 4067)])
-def test_max_pairs_caps_the_states_of_all_horizons(d, total):
-    # The totals in find_critical_psw's docstring, summed over its passes.
-    assert find_critical_psw(d, max_pairs=total)[0] == 2 * d - 3
-    with pytest.raises(ResourceLimitError):
-        find_critical_psw(d, max_pairs=total - 1)
+@pytest.mark.parametrize("d,entries", [(2, 14), (3, 59), (4, 197), (5, 627)])
+def test_view_memo_sizes(monkeypatch, d, entries):
+    # The views find_critical_psw builds: one memo entry per node type,
+    # parent view and round it reads on the way to round 2d-2.
+    made = []
+
+    class Recorded(FamilyView):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr("svmv.walks.FamilyView", Recorded)
+    assert find_critical_psw(d)[0] == 2 * d - 3
+    assert len(made[0]._views) == entries
 
 
 def test_an_unseparable_pair_is_searched_to_every_horizon(monkeypatch):
     # Numbering each node's neighbours 0, 1, ... in table order keeps the
-    # two walks at one depth, so they never separate: every horizon up to
-    # the bound 2d-1 is searched, each pass keyed one move past it.
-    key_edges, suffix_key = FamilyView.key_edges, FamilyView.suffix_key
-    radii = []
+    # two walks at one depth, so the start views never split: every round
+    # up to the bound 2d-1 is built before the search gives up.
+    entry, view_of = FamilyView._entry, FamilyView.view_of
+    rounds = []
 
-    def positional(self, key, radius):
-        return [(u, i) for i, (u, _) in
-                enumerate(key_edges(self, key, radius))]
+    def positional(self, depth, steps):
+        up, down, near = entry(self, depth, steps)
+        return 0, tuple((step, i, child) for i, (step, _, child)
+                        in enumerate(down, start=1)), near
 
-    def recorded(self, v, radius):
-        radii.append(radius)
-        return suffix_key(self, v, radius)
+    def recorded(self, key, parent, r):
+        if key == (1, ((1, 0),)):
+            rounds.append(r)
+        return view_of(self, key, parent, r)
 
-    monkeypatch.setattr(FamilyView, "key_edges", positional)
-    monkeypatch.setattr(FamilyView, "suffix_key", recorded)
-    with pytest.raises(InternalInconsistencyError, match="within depth 5"):
+    monkeypatch.setattr(FamilyView, "_entry", positional)
+    monkeypatch.setattr(FamilyView, "view_of", recorded)
+    with pytest.raises(InternalInconsistencyError, match="by round 5"):
         find_critical_psw(3)
-    assert radii == [h + 1 for h in range(1, 6) for _ in range(2)]
+    assert sorted(set(rounds)) == list(range(6))
+
+
+def test_critical_length_d7():
+    k, witness = find_critical_psw(7)
+    assert k == 11
+    assert verify_psw(witness, 7, allow_mirrored=True).status == PSW
+
