@@ -256,8 +256,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except MemoryError:
-        print(f"resource cap: {args.command} ran out of memory",
+    except (MemoryError, RecursionError) as exc:
+        print(f"resource cap: {args.command} ran out of "
+              f"{'memory' if isinstance(exc, MemoryError) else 'stack depth'}",
               file=sys.stderr)
         return EXIT_RESOURCE
     except (FormatError, OSError, ValueError) as exc:

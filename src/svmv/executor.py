@@ -67,19 +67,20 @@ class ExecutionTrace:
 
     @cached_property
     def states(self) -> list[dict[Any, Any]]:
-        return [dict(zip(self._plan.nodes, self._node_states(r)))
+        return [dict(zip(self._plan.index, self._node_states(r)))
                 for r in range(len(self._rows))]
 
     @cached_property
     def messages(self) -> list[dict[Any, tuple]]:
         plan, emit = self._plan, cache(self._emit)  # emit is pure
-        pads = [(EPSILON,) * (self.delta - degree) for degree in plan.degrees]
+        pads = [(EPSILON,) * (self.delta - s.stop + s.start)
+                for s in plan.slices()]
         out = []
         for r in range(len(self._rows) - 1):
             row = self._node_states(r)
             flat = tuple(map(emit, map(row.__getitem__, plan.senders),
                              plan.ports))
-            out.append(dict(zip(plan.nodes, map(add, map(flat.__getitem__,
+            out.append(dict(zip(plan.index, map(add, map(flat.__getitem__,
                                                          plan.slices()),
                                                      pads))))
         return out
@@ -88,13 +89,13 @@ class ExecutionTrace:
         return len(self._rows) - 1
 
     def state(self, r: int, v):
-        if r < len(self._rows) or self.stopped_round is not None:
+        if r >= 0 and (r < len(self._rows) or self.stopped_round is not None):
             row, held = self._rows[min(r, len(self._rows) - 1)]
             i = self._plan.index[v]
             if i >= len(row):  # v joined the graph after the run
                 raise KeyError(v)
             return held[row[i]]
-        raise IndexError(f"round {r} not recorded and the run did not halt")
+        raise IndexError(f"round {r} is negative or past an unhalted run")
 
 
 class _Partition:
@@ -115,7 +116,8 @@ class _Partition:
     def __init__(self, plan: RunPlan, inputs: tuple, delta: int,
                  distinct: bool):
         self.inputs, self.distinct, self.width = inputs, distinct, delta + 1
-        row, ids = self._number(zip(plan.degrees, inputs))
+        degrees = (s.stop - s.start for s in plan.slices())
+        row, ids = self._number(zip(degrees, inputs))
         self.rounds = [(row, [(cid, key) for key, cid in ids.items()], ())]
         # Every pair's code is positive, so a class's pads (0s, one at
         # most for set reception) go in front of its sorted codes.
@@ -163,9 +165,9 @@ def execute(machine: StateMachine, graph: PortNumberedGraph,
     delta = machine.delta
     plan = graph.run_plan(delta)
     inputs = colouring if colouring is not None else graph.colours
-    local = tuple(map(inputs.get, plan.nodes))
+    local = tuple(map(inputs.get, plan.index))
     if machine.input_alphabet is not None:
-        for v, value in zip(plan.nodes, local):
+        for v, value in zip(plan.index, local):
             if value not in machine.input_alphabet:
                 raise NumberingError(
                     f"local input {value!r} of node {v!r} is outside the "
@@ -251,7 +253,7 @@ def _rounds(machine, partition, trace, max_rounds):
                     mid = emitted[sids[u] + port]
                     if mid and sids[u] in stops:
                         raise MachineContractError(
-                            f"stopped node {plan.nodes[u]!r} emitted "
+                            f"stopped node {list(plan.index)[u]!r} emitted "
                             f"{message_of[mid]!r} in round {r}")
             nxt = {}
             for cid, (prev, got) in classes:
@@ -280,5 +282,5 @@ def local_outputs(trace: ExecutionTrace) -> dict:
     """
     if trace.stopped_round is None:
         raise DidNotHaltError("did not halt: no global stopping round")
-    return dict(zip(trace._plan.nodes,
+    return dict(zip(trace._plan.index,
                     trace._node_states(trace.stopped_round)))

@@ -16,9 +16,7 @@ from .machines import AD_HOC_SV_MACHINES
 from .problem import check_pi, output_colour, pi_allowed, solve_pi_mv
 from .util import stable_fingerprint
 from .views import canonical_sv
-
-NODE_U = ((1, 0),)
-NODE_W = ((2, 1),)
+from .walks import START_1, START_2
 
 
 def run_theorem1(delta: int) -> dict:
@@ -39,15 +37,15 @@ def run_theorem1(delta: int) -> dict:
     t0 = time.perf_counter()
     graph = build_collapsed("g", delta)
     horizon = 2 * delta - 1
-    port_u = graph.out_port(NODE_U, ROOT)
-    port_w = graph.out_port(NODE_W, ROOT)
+    port_u = graph.out_port(START_1, ROOT)
+    port_w = graph.out_port(START_2, ROOT)
 
     def message_rows(machine):
         trace = execute(machine, graph, max_rounds=horizon - 1)
         rows = []
         for r in range(1, horizon + 1):
-            mu = machine.emit(trace.state(r - 1, NODE_U), port_u)
-            mw = machine.emit(trace.state(r - 1, NODE_W), port_w)
+            mu = machine.emit(trace.state(r - 1, START_1), port_u)
+            mw = machine.emit(trace.state(r - 1, START_2), port_w)
             rows.append({"r": r, "msg_u": stable_fingerprint(mu),
                          "msg_w": stable_fingerprint(mw),
                          "equal": mu == mw})

@@ -8,8 +8,9 @@ slots.  In the tree families both labels of an edge end coincide; random
 numberings sample them independently.  A node's adjacency is one flat
 tuple of ``(neighbour, out-label, in-label)`` triples in edge order, kept
 in a list by node position; one dict maps each node to its position, in the
-order ``add_node`` first saw them, which ``nodes``, the exports and
-:class:`RunPlan` follow.
+order ``add_node`` first saw them, which ``nodes`` and the exports follow; a
+:class:`RunPlan` holds that dict, ``senders``, ``ports`` and ``bounds``, and
+reads each node's degree as the difference of its two bounds.
 """
 
 from __future__ import annotations
@@ -296,21 +297,19 @@ def _check_free(v, ends: tuple, label, k: int):
 class RunPlan:
     """The layout one synchronous run walks, fixed per graph and degree bound.
 
-    Node ``i`` is the graph's ``i``-th node, ``nodes[i]`` (``index[nodes[i]]
-    == i``), with degree ``degrees[i]``; ``index`` is the graph's own dict,
-    so a node the graph gains later maps past ``nodes``.  Edge ends are laid
-    out flat, grouped by receiver in node order and, per receiver, in
-    in-port order: slot ``k`` carries what ``nodes[senders[k]]`` writes on
-    out-port ``ports[k]``, and node ``i``'s slots run from ``bounds[i]`` up
-    to ``bounds[i + 1]``; a pass that needs per-node slices cuts them from
-    the bounds (:meth:`slices`) and drops them.  ``senders``, ``ports`` and
-    ``bounds`` are :func:`int_array` machine ints, not one Python int per
-    slot.  ``partitions`` is the executor's cache of node partitions per
-    reception class, dropped with the plan.
+    ``index`` is the graph's own dict: node ``i`` is its ``i``-th key, and a
+    node the graph gains later maps past the plan's nodes.  Edge ends are
+    laid out flat, grouped by receiver in node order and, per receiver, in
+    in-port order: slot ``k`` carries what node ``senders[k]`` writes on
+    out-port ``ports[k]``, and node ``i``'s slots, as many as its degree, run
+    from ``bounds[i]`` up to ``bounds[i + 1]``; a pass that needs per-node
+    slices cuts them from the bounds (:meth:`slices`) and drops them.
+    ``senders``, ``ports`` and ``bounds`` are :func:`int_array` machine
+    ints, not one Python int per slot.  ``partitions`` is the executor's
+    cache of node partitions per reception class, dropped with the plan.
     """
 
-    __slots__ = ("nodes", "index", "degrees", "senders", "ports", "bounds",
-                 "partitions")
+    __slots__ = ("index", "senders", "ports", "bounds", "partitions")
 
     def __init__(self, graph: PortNumberedGraph, delta: int):
         if graph.max_degree() > delta:
@@ -318,10 +317,9 @@ class RunPlan:
                 f"graph max degree {graph.max_degree()} exceeds bound {delta}")
         graph.require_runnable(delta)
         index, adj = graph._index, graph._adj
-        self.index, self.nodes = index, tuple(index)
-        self.degrees = tuple(len(ends) // 3 for ends in adj)
+        self.index = index
         senders, ports, bounds = [], [], [0]
-        for v, ends in zip(self.nodes, adj):
+        for v, ends in zip(index, adj):
             # In-labels are distinct per node, so no two neighbours compare.
             for _, u in sorted(zip(ends[2::3], ends[0::3])):
                 i = index[u]

@@ -23,7 +23,7 @@ from .families import (FamilyView, ROOT, build_collapsed, children,
 from .graphs import random_colouring, random_graph
 from .util import derive_seed
 from .views import canonical_sv
-from .walks import successor
+from .walks import START_1, START_2, successor
 
 # Cases each suite draws; the executor-agreement suite runs the
 # full-information machine on every case, so it draws fewer.
@@ -221,7 +221,7 @@ def executor_agreement_suite(rng, views) -> Iterator[str]:
 
     for d in (2, 3):
         graph = build_collapsed("g", d)
-        prepared.append((graph, graph, ((1, 0),), ((2, 1),), 2 * d))
+        prepared.append((graph, graph, START_1, START_2, 2 * d))
     d = 2
     gb, gw = build_collapsed("hb", d), build_collapsed("hw", d)
     for _ in range(6):

@@ -23,7 +23,8 @@ from .propsuite import run_all_suites
 from .simulate import gather_rounds, multiset_echo, run_simulation
 from .experiments import run_theorem1, run_theorem2
 from .util import derive_seed
-from .walks import PSW, find_critical_psw, verify_psw, walk_pair_from_labels
+from .walks import (PSW, START_1, START_2, find_critical_psw, verify_psw,
+                    walk_pair_from_labels)
 
 DESK_SCALE_CAPS = ("walk search d<=5; bisimilarity radius runs d<=4; "
                    "coloured-tree executions d<=3; pair searches capped at "
@@ -53,7 +54,7 @@ def _row(criterion, parameter, expected, observed, passed) -> CriterionRow:
                         bool(passed))
 
 
-def psw_rows(d_max: int = 5) -> list[CriterionRow]:
+def psw_rows(d_max: int) -> list[CriterionRow]:
     if d_max < 2:
         raise FormatError(f"d_max must be >= 2 (got {d_max})")
     if d_max > PSW_D_MAX:
@@ -98,8 +99,8 @@ def bisim_radius_rows() -> list[CriterionRow]:
     t0 = time.perf_counter()
     for d in BISIM_D_VALUES:
         view = FamilyView("g", d)
-        got = max_bisim_radius(PointedInstance(view, ((1, 0),)),
-                               PointedInstance(view, ((2, 1),)), cap=2 * d)
+        got = max_bisim_radius(PointedInstance(view, START_1),
+                               PointedInstance(view, START_2), cap=2 * d)
         rows.append(_row("bisim-radius", f"d={d} cap={2 * d}", 2 * d - 3,
                          got, got == 2 * d - 3))
     rows.append(_budget_row("bisim-runtime", f"d<={max(BISIM_D_VALUES)}", 300,
@@ -249,7 +250,7 @@ def corrupted_collapse(d: int) -> PortCollapse:
     return PortCollapse(broken.name + "-corrupted", broken.mapping)
 
 
-def run_reproduction(seed: int, d_max: int = 5,
+def run_reproduction(seed: int, d_max: int,
                      inject_collapse_fault: bool = False
                      ) -> list[CriterionRow]:
     rows: list[CriterionRow] = []

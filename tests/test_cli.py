@@ -560,6 +560,18 @@ def test_reproduce_beyond_the_psw_cap_is_refused_before_searching(tmp_path):
     assert result.stdout == ""
 
 
+def test_bisim_past_the_stack_depth_is_a_resource_cap(tmp_path):
+    # The recursion takes one frame per level of the radius budget.
+    result = _run_cli(["bisim", "--family", "g", "--d", "3", "--a", "(2,1)",
+                       "--b", "(3,2)", "--radius", "500"],
+                      cwd=tmp_path, hash_seed="0")
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("resource cap: ")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
 def test_psw_beyond_the_cap_is_refused_before_searching(monkeypatch,
                                                         capsys):
     def searched(d):

@@ -361,6 +361,17 @@ def test_trace_keeps_the_layout_it_ran_on():
             trace.state(2, v)
 
 
+@pytest.mark.parametrize("machine", [solve_pi_mv(2), canonical_sv(2)])
+def test_trace_refuses_negative_rounds(machine):
+    # A negative round is not counted from the end, halted run or not.
+    trace = execute(machine, two_node_path(), {"a": "B", "b": "W"},
+                    max_rounds=2)
+    assert trace.state(0, "a") == machine.init(1, "B")
+    for r in (-1, -trace.rounds() - 1, -trace.rounds() - 2):
+        with pytest.raises(IndexError, match="negative"):
+            trace.state(r, "a")
+
+
 def _counting_emit(machine):
     calls = Counter()
 

@@ -72,15 +72,18 @@ def _traced(call: str) -> tuple[int, int]:
 
 
 def test_theorem1_delta4_memory_peak():
-    # It reads about 7.2 MiB.  A label dict per node, out- and in-maps from
-    # node to dict and an index of the run plan's own read about 10.0, and
-    # with them: Python ints and tuples in the run plan, the partition rows
-    # and the graph's edge list, and frozensets in the partition and the
-    # views, about 12.3; one slice object per node in the run plan and a
-    # true_degree entry for every node of the whole tree, about 13.9;
-    # running the unread round 2*delta - 1, about 18.
+    # It reads about 7.0 MiB, and 7.2 when the run plan kept a tuple of the
+    # index's node keys and a tuple of degrees, where it now reads node order
+    # off the shared index and degrees off its slot bounds.  A label dict
+    # per node, out- and in-maps from node to dict and an index of the run
+    # plan's own read about 10.0, and with them: Python ints and tuples in
+    # the run plan, the partition rows and the graph's edge list, and
+    # frozensets in the partition and the views, about 12.3; one slice
+    # object per node in the run plan and a true_degree entry for every node
+    # of the whole tree, about 13.9; running the unread round 2*delta - 1,
+    # about 18.
     peak, _ = _traced("run_theorem1(4)")
-    assert peak < 8.25 * 2**20
+    assert peak < 8.05 * 2**20
 
 
 def test_theorem2_d3_memory_peak():
@@ -103,14 +106,15 @@ def test_theorem2_d3_interned_views_memory():
 
 
 def test_collapsed_g_delta4_graph_and_plan_memory():
-    # The 13,121-node tree with its run plan reads about 4.0 MiB: one
-    # adjacency tuple per node and one node index, which the plan shares.
-    # A label dict per node, out- and in-maps and a plan index of its own
-    # read about 6.7.
+    # The 13,121-node tree with its run plan reads about 3.8 to 4.0 MiB: one
+    # adjacency tuple per node and one node index, which the plan shares;
+    # the plan keeps only its slot arrays beside it.  A node tuple and a
+    # degree tuple in the plan read about 0.2 more; a label dict per node,
+    # out- and in-maps and a plan index of its own read about 6.7.
     _, held = _traced("from svmv.families import build_collapsed\n"
                       "graph = build_collapsed('g', 4)\n"
                       "graph.run_plan(4)")
-    assert held < 4.6 * 2**20
+    assert held < 4.4 * 2**20
 
 
 def test_root_experiment_smallest_parameter():
