@@ -16,15 +16,15 @@ capped by a budget: ``max_bisim_radius`` descends once with budget ``cap``,
 and ``bisimilar`` asks whether radius r is reached, so it returns at the
 first neighbour without a good enough match.
 
-The recursion runs on suffix keys, not nodes.  A backend's
-``suffix_key(v, r)`` is the part of a node that fixes its radius-r ball;
-the two points are keyed once, at the top.  From there on the backend's
-``key_edges(key, r)`` gives the neighbours as their keys for r - 1, trimmed
-to the budget of the call they are passed to, and ``key_local(key)`` the
-degree and local input.  Two equal keys of one backend hold for the whole
-budget.  A pair's memo entry is keyed by the two keys and holds an interval
-of radii, so pairs with isomorphic balls and all radii of one pair share
-an entry.
+The recursion runs on suffix keys, not nodes, and reads a backend through
+three calls only.  ``suffix_key(v, r)`` is the part of a node that fixes
+its radius-r ball; the two points are keyed once, at the top.  From there
+on ``key_edges(key, r)`` gives the labelled neighbours as their keys for
+r - 1, trimmed to the budget of the call they are passed to, and
+``key_local(key)`` the degree and local input.  Two equal keys of one
+backend hold for the whole budget.  A pair's memo entry is keyed by the two
+keys and holds an interval of radii, so pairs with isomorphic balls and all
+radii of one pair share an entry.
 """
 
 from __future__ import annotations
@@ -38,24 +38,21 @@ from .graphs import PortNumberedGraph
 
 
 class MaterializedView:
-    """Bisimilarity backend over an explicit graph.
+    """Bisimilarity backend over an explicit graph: the three calls only.
 
-    Degrees come from the declared (pre-truncation) values; probing the
-    edges of a truncated boundary node raises ``BallExhaustedError`` so a
-    short ball can never produce a wrong answer.  An explicit graph has no
-    locality rule, so a node is its own suffix key at every radius.
+    Degrees come from the declared (pre-truncation) values; the edges of a
+    truncated boundary node raise ``BallExhaustedError`` so a short ball can
+    never produce a wrong answer.  An explicit graph has no locality rule,
+    so a node is its own suffix key at every radius.
     """
 
     def __init__(self, graph: PortNumberedGraph):
         self.graph = graph
 
-    def degree(self, v) -> int:
-        return self.graph.declared_degree(v)
+    def suffix_key(self, v, radius: int):
+        return v
 
-    def local_input(self, v):
-        return self.graph.colours.get(v)
-
-    def back_edges(self, v):
+    def key_edges(self, v, radius: int):
         graph = self.graph
         if graph.degree(v) != graph.declared_degree(v):
             raise BallExhaustedError(
@@ -63,14 +60,8 @@ class MaterializedView:
                 f"{graph.declared_degree(v)} edges materialised)")
         return [(u, graph.out_port(u, v)) for u in graph.neighbours(v)]
 
-    def suffix_key(self, v, radius: int):
-        return v
-
-    def key_edges(self, v, radius: int):
-        return self.back_edges(v)
-
     def key_local(self, v):
-        return self.degree(v), self.local_input(v)
+        return self.graph.declared_degree(v), self.graph.colours.get(v)
 
 
 @dataclass(frozen=True)

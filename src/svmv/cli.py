@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 criterion failure, 2 usage error, 3 resource cap.
-All randomised commands require an explicit --seed, which is recorded in
-their output; identical invocations produce identical files (modulo the
-timings_ms fields of experiment reports).
+The one randomised command, reproduce, requires an explicit --seed, which
+fixes every draw; its CSV holds counts and pass/fail only, so seeds whose
+checks all hold print the same file.  Identical invocations produce
+identical files (modulo the timings_ms fields of experiment reports).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .families import (DEFAULT_MAX_NODES, FamilyView, build_ball, build_full,
                        validate_path)
 from .graphs import PortNumberedGraph
 from .problem import COLOURS, check_pi, solve_pi_mv
-from .reproduce import PSW_D_MAX, rows_to_csv, run_reproduction
+from .reproduce import rows_to_csv, run_reproduction
 from .simulate import multiset_echo, run_simulation
 from .experiments import run_theorem1, run_theorem2
-from .walks import find_critical_psw, verify_psw
+from .walks import PSW_D_MAX, find_critical_psw, verify_psw
 
 INNER_MACHINES = {
     "pi-solver": solve_pi_mv,

@@ -11,7 +11,7 @@ import time
 
 from .errors import FormatError, ResourceLimitError
 from .executor import execute, local_outputs
-from .families import ROOT, build_collapsed
+from .families import ROOT, build_collapsed, node_degree
 from .machines import AD_HOC_SV_MACHINES
 from .problem import check_pi, output_colour, pi_allowed, solve_pi_mv
 from .util import stable_fingerprint
@@ -102,7 +102,7 @@ def run_theorem2(d: int) -> dict:
         raise ResourceLimitError(
             f"full coloured-tree runs are capped at d <= 3 (got {d})")
     t0 = time.perf_counter()
-    delta = 2 * d - 1
+    delta = node_degree("hb", ROOT, d)
     horizon = 4 * d - 3
     nodes_b, states_b, allowed_b, solved_b = _coloured_root("hb", d, horizon)
     nodes_w, states_w, allowed_w, solved_w = _coloured_root("hw", d, horizon)
@@ -136,7 +136,7 @@ def _coloured_root(family: str, d: int, horizon: int):
     tree: its node count, the root's ``canonical_sv`` state in rounds
     0..horizon, the colours Π allows at the root, and how the one-round
     multiset solver fares on the whole tree."""
-    delta = 2 * d - 1
+    delta = node_degree(family, ROOT, d)
     graph = build_collapsed(family, d)
     trace = execute(canonical_sv(delta), graph, max_rounds=horizon)
     states = [trace.state(r, ROOT) for r in range(horizon + 1)]

@@ -255,11 +255,12 @@ class FamilyView:
     holds at most O(d^3) entries (g: 87 at d=5, hb/hw: 172).  The table
     lives and dies with the view, as do the memos of ``view_of``.
 
-    ``back_edges(v)`` lists a node's neighbours as paths.  Read off a
-    suffix key alone, ``key_edges(key, radius)`` lists them as their keys
-    for ``radius - 1``, ``key_local(key)`` gives the degree and input, and
-    ``view_of`` builds set-reception views: bisimilarity and the psw
-    search never build a path.
+    ``back_edges(v)`` lists a node's neighbours as paths.  Bisimilarity
+    reads three calls: ``suffix_key``, ``key_edges(key, radius)``, the
+    neighbours as their keys for ``radius - 1``, and ``key_local(key)``,
+    the degree and input (``node_degree`` and ``node_colour`` give a
+    path's).  With ``view_of``, which builds set-reception views, the
+    bisimilarity and psw searches never build a path.
 
     A view reads its collapse once: the table keeps labels with the collapse
     applied, so ``family``, ``d`` and ``collapse`` are read-only.
@@ -299,17 +300,6 @@ class FamilyView:
     @property
     def collapse(self) -> PortCollapse | None:
         return self._collapse
-
-    def degree(self, v: Path) -> int:
-        return node_degree(self._family, v, self._d)
-
-    def local_input(self, v: Path):
-        return node_colour(self._family, v)
-
-    def neighbours(self, v: Path) -> list[Path]:
-        out = [] if not v else [v[:-1]]
-        out.extend(children(self._family, v, self._d))
-        return out
 
     def _entry(self, depth: int, steps: tuple) -> tuple:
         """The table entry of the key ``(depth, steps)`` for radius 1,
@@ -481,7 +471,7 @@ def build_ball(family: str, d: int, center: Path, radius: int,
     # Every edge of a node at the radius but the one to its BFS parent is
     # cut off.
     for v, _ in level:
-        degree = lazy.degree(v)
+        degree = node_degree(family, v, d)
         if degree != graph.degree(v):
             graph.true_degree[v] = degree
     return graph

@@ -358,6 +358,9 @@ def _label_text(label) -> str:
 
 
 def _parse_label(text):
+    if isinstance(text, bool):
+        # A bool is an int to Python, but to_json would write it as "True".
+        raise ValueError(f"port label {text!r} is a boolean, not a port")
     if isinstance(text, int):
         return text
     text = str(text)

@@ -96,7 +96,7 @@ def label_uniqueness_suite(rng, views) -> Iterator[str]:
             back = [lab for _, lab in view.back_edges(v)]
             if len(set(back)) != len(back):
                 yield f"d={d} {v}: duplicate back-labels {back}"
-        out = [view.out_label(v, u) for u in view.neighbours(v)]
+        out = [view.out_label(v, u) for u, _ in view.back_edges(v)]
         if len(set(out)) != len(out):
             yield f"{family} d={d} {v}: duplicate out-labels {out}"
         if family == "g" and {0, 1} <= set(out):

@@ -15,25 +15,21 @@ from dataclasses import dataclass
 
 from .bisim import PointedInstance, max_bisim_radius
 from .errors import FormatError, ResourceLimitError, SvmvError
-from .families import (FamilyView, PortCollapse, build_collapsed, build_full,
-                       collapse_g, family_collapse)
+from .families import (FamilyView, PortCollapse, ROOT, build_collapsed,
+                       build_full, collapse_g, family_collapse, node_degree)
 from .graphs import random_colouring, random_graph
 from .problem import solve_pi_mv
 from .propsuite import run_all_suites
 from .simulate import gather_rounds, multiset_echo, run_simulation
 from .experiments import run_theorem1, run_theorem2
 from .util import derive_seed
-from .walks import (PSW, START_1, START_2, find_critical_psw, verify_psw,
-                    walk_pair_from_labels)
+from .walks import (PSW, PSW_D_MAX, START_1, START_2, find_critical_psw,
+                    verify_psw, walk_pair_from_labels)
 
 DESK_SCALE_CAPS = ("walk search d<=5; bisimilarity radius runs d<=4; "
                    "coloured-tree executions d<=3; pair searches capped at "
                    "50M states; parameters d>=6 exceed the memory budget, "
                    "so the criteria above stand in for full-scale numbers")
-# The largest d a psw search runs for, in a reproduce row or through
-# ``svmv psw``: its view memo holds 316,525 entries at d=8 (7-9 s, about
-# 250 MiB) and about 5M at d=9, some 160 s and 7 GiB.
-PSW_D_MAX = 8
 BISIM_D_VALUES = (2, 3, 4)
 THEOREM1_DELTAS = (2, 3, 4)
 THEOREM2_D_VALUES = (2, 3)
@@ -175,19 +171,19 @@ def simulation_rows(seed: int) -> list[CriterionRow]:
                  "all outputs equal, exact overhead, no collisions",
                  failures[0] if failures else "all held", not failures)]
     for family in ("hb", "hw"):
-        d = 2
-        graph = build_collapsed(family, d)
-        inner = solve_pi_mv(2 * d - 1)
+        delta = node_degree(family, ROOT, 2)
+        graph = build_collapsed(family, 2)
+        inner = solve_pi_mv(delta)
         try:
             report = run_simulation(inner, graph, graph.colours)
             ok = report.outputs_equal and \
-                report.overhead == gather_rounds(2 * d - 1)
+                report.overhead == gather_rounds(delta)
             observed = (f"outputs_equal={report.outputs_equal} "
                         f"overhead={report.overhead}")
         except SvmvError as exc:
             ok, observed = False, f"error: {exc}"
         rows.append(_row("simulation-differential", f"{family} d=2",
-                         f"outputs equal, overhead {gather_rounds(2*d-1)}",
+                         f"outputs equal, overhead {gather_rounds(delta)}",
                          observed, ok))
     rows.append(_budget_row("simulation-runtime", f"{SIM_CASES} instances",
                             120, time.perf_counter() - t0))
@@ -213,7 +209,7 @@ def collapse_audit_rows(fault: PortCollapse | None = None
     """
     rows = []
     for family, d in (("g", 2), ("g", 3), ("hb", 2), ("hw", 2)):
-        delta = d if family == "g" else 2 * d - 1
+        delta = node_degree(family, ROOT, d)
         collapse = family_collapse(family, d)
         if fault is not None and family == "g":
             collapse = fault

@@ -22,6 +22,10 @@ from .families import FamilyView, Path, format_path, validate_path
 
 START_1: Path = ((1, 0),)
 START_2: Path = ((2, 1),)
+# The largest d a psw search runs for, in a reproduce row or through
+# ``svmv psw``: its view memo holds 316,525 entries at d=8 (7-9 s, about
+# 250 MiB) and about 5M at d=9, some 160 s and 7 GiB.
+PSW_D_MAX = 8
 
 PSW = "psw"
 PCW = "pcw"

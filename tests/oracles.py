@@ -4,13 +4,15 @@ These recompute the same quantities as the package with deliberately
 different machinery: the child rules as literal iterated minimum picks, a
 node's labelled neighbours straight from the rules with no per-view table,
 the critical separating length by raw path enumeration without deduplication,
-bisimilarity by direct unmemoised recursion, and synchronous execution by a
+bisimilarity by direct unmemoised recursion over nodes that reads the rules
+or the graph rather than the checker's backend, and synchronous execution by a
 straight per-round loop without slot tables or transition memo.
 """
 
 from collections import Counter
 
-from svmv.families import COMPLEMENT, children, pi
+from svmv.families import (COMPLEMENT, FamilyView, children, node_colour,
+                           node_degree, pi)
 from svmv.machines import EPSILON, MV
 
 
@@ -108,14 +110,27 @@ def brute_critical_length(d, max_len):
     return None
 
 
+def _node(view, v):
+    """``((degree, local input), labelled neighbours)`` of ``v``: from the
+    rules for a ``FamilyView``, from the graph for a ``MaterializedView``,
+    never through the backend's own calls."""
+    if isinstance(view, FamilyView):
+        local = node_degree(view.family, v, view.d), \
+            node_colour(view.family, v)
+        return local, rule_back_edges(view, v)
+    graph = view.graph
+    return ((graph.declared_degree(v), graph.colours.get(v)),
+            [(u, graph.out_port(u, v)) for u in graph.neighbours(v)])
+
+
 def naive_bisimilar(va, x, vb, y, r):
     """Direct recursion over the definition; exponential, keep r small."""
-    if va.degree(x) != vb.degree(y) or va.local_input(x) != vb.local_input(y):
+    local_a, ea = _node(va, x)
+    local_b, eb = _node(vb, y)
+    if local_a != local_b:
         return False
     if r == 0:
         return True
-    ea = va.back_edges(x)
-    eb = vb.back_edges(y)
     for w, a in ea:
         if not any(b == a and naive_bisimilar(va, w, vb, w2, r - 1)
                    for w2, b in eb):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from svmv import propsuite
+from svmv import propsuite, reproduce
 from svmv.errors import ResourceLimitError
 from svmv.families import build_full
 from svmv.reproduce import (bisim_radius_rows, caps_row, collapse_audit_rows,
@@ -60,6 +60,28 @@ def test_criterion_5_coloured_root_experiment():
 
 def test_criterion_6_simulation_differential():
     _check(simulation_rows(SEED))
+
+
+def test_simulation_rows_pass_the_seed_to_their_draws(monkeypatch):
+    # Two seeds whose rows all hold print the same rows, so the graphs the
+    # rows run on are what shows that the seed still reaches the draws.
+    run_simulation = reproduce.run_simulation
+
+    def graphs_run(seed):
+        seen = []
+
+        def recording(inner, graph, colouring=None, **kw):
+            seen.append((graph.to_json(), colouring))
+            return run_simulation(inner, graph, colouring, **kw)
+
+        monkeypatch.setattr(reproduce, "run_simulation", recording)
+        _check(simulation_rows(seed))
+        return seen
+
+    first = graphs_run(SEED)
+    assert len(first) == 102
+    assert graphs_run(SEED) == first
+    assert graphs_run(1729) != first
 
 
 def test_criterion_7_property_suites():

@@ -105,6 +105,40 @@ def test_agreement_with_naive_recursion():
             naive_bisimilar(a.view, a.point, b.view, b.point, r)
 
 
+class ThreeCalls:
+    """A backend with only the three calls the recursion makes."""
+
+    def __init__(self, graph):
+        self._inner = MaterializedView(graph)
+
+    def suffix_key(self, v, radius):
+        return self._inner.suffix_key(v, radius)
+
+    def key_edges(self, key, radius):
+        return self._inner.key_edges(key, radius)
+
+    def key_local(self, key):
+        return self._inner.key_local(key)
+
+
+def test_a_backend_needs_only_three_calls():
+    rng = random.Random(23)
+    graph = random_graph(rng, 12, 3)
+    graph.colours.update(random_colouring(rng, graph))
+    full, bare = MaterializedView(graph), ThreeCalls(graph)
+    answers = set()
+    for _ in range(30):
+        x, y = rng.choice(graph.nodes), rng.choice(graph.nodes)
+        a, b = PointedInstance(full, x), PointedInstance(full, y)
+        a3, b3 = PointedInstance(bare, x), PointedInstance(bare, y)
+        for r in range(5):
+            want = bisimilar(a, b, r)
+            assert bisimilar(a3, b3, r) == want, (x, y, r)
+            answers.add(want)
+            assert max_bisim_radius(a3, b3, r) == max_bisim_radius(a, b, r)
+    assert answers == {True, False}
+
+
 def test_truncated_ball_errors_instead_of_answering():
     ball = build_ball("g", 3, ROOT, 2)
     view = MaterializedView(ball)

@@ -269,6 +269,25 @@ def test_graph_json_edge_to_an_unlisted_node_is_usage_error(tmp_path,
             "node 'z', which the nodes do not list\n")
 
 
+@pytest.mark.parametrize("key", ["port_uv", "in_vu"])
+def test_graph_json_boolean_port_is_usage_error(tmp_path, capsys, key):
+    # Python reads true as 1, but to_json would write it back as "True", a
+    # string label that the reloaded graph refuses to run.
+    edge = {"u": "a", "v": "b", "port_uv": 1, "port_vu": 1, key: True}
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps({
+        "nodes": [{"id": "a", "colour": "B"}, {"id": "b", "colour": "W"}],
+        "edges": [edge]}))
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text(json.dumps({"a": "W", "b": "B"}))
+    for args in (["simulate", "--inner", "pi-solver"],
+                 ["check-pi", "--candidate", str(candidate)]):
+        assert main([*args, "--graph", str(graph_file)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: malformed graph document: port label True is a "
+            "boolean, not a port\n")
+
+
 def test_simulate_that_does_not_halt_is_a_criterion_failure(tmp_path):
     base = tmp_path / "g2"
     assert main(["build", "--family", "g", "--d", "2", "--radius", "2",
