@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 criterion failure, 2 usage error, 3 resource cap.
+Exit codes: 0 success, 1 criterion failure (or a stdout closed before the
+output was written), 2 usage error, 3 resource cap.
 The one randomised command, reproduce, requires an explicit --seed, which
 fixes every draw; its CSV holds counts and pass/fail only, so seeds whose
 checks all hold print the same file.  Identical invocations produce
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bisim import PointedInstance, max_bisim_radius
@@ -253,15 +255,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+        return code
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (MemoryError, RecursionError) as exc:
-        print(f"resource cap: {args.command} ran out of "
-              f"{'memory' if isinstance(exc, MemoryError) else 'stack depth'}",
-              file=sys.stderr)
-        return EXIT_RESOURCE
+    except MemoryError:
+        ran_out = "memory"
+    except RecursionError:
+        ran_out = "stack depth"
+    except BrokenPipeError:  # the reader left: drop what stdout still holds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed, output not written", file=sys.stderr)
+        return EXIT_CRITERION
     except (FormatError, OSError, ValueError) as exc:
         # Bad values, unreadable files and malformed JSON (a ValueError).
         print(f"usage error: {exc}", file=sys.stderr)
@@ -269,6 +276,10 @@ def main(argv=None) -> int:
     except SvmvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CRITERION
+    # Out of the except block, the failed frames and their data are freed.
+    print(f"resource cap: {args.command} ran out of {ran_out}",
+          file=sys.stderr)
+    return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cache, cached_property
+from itertools import count
 from operator import add
 from typing import Any
 
@@ -101,53 +102,54 @@ class ExecutionTrace:
 class _Partition:
     """The node classes of every round for one reception class and input.
 
-    Class ids are multiples of ``delta + 1``, numbered in order of first
-    occurrence, so code ``class + port`` names one (class, out-port) pair,
-    and ``code % (delta + 1)`` is the port; 0 stands for the epsilon pad.
-    ``rounds[r]`` is a triple: the class of each node in round ``r``, an
-    :func:`~svmv.graphs.int_array` in node order; each class with what
-    fixes its nodes' states (``(degree, input)`` in round 0, later its class
-    in round ``r - 1`` and the pairs and pads it receives as a sorted tuple,
-    of distinct codes if ``distinct``, as set reception takes them); and
-    the distinct codes on the graph's edges, an ``int_array`` (none in
-    round 0).  :meth:`extend` adds the next round.
+    Classes are numbered as first seen; class ``i`` has id ``i * (delta +
+    1)``, stored nowhere, so code ``class id + port`` names one (class,
+    out-port) pair, and ``code % (delta + 1)`` is the port; 0 is the epsilon
+    pad.  ``rounds[r]`` is ``(row, prevs, keys, codes)``: each node's class
+    id in round ``r``, an :func:`~svmv.graphs.int_array` in node order;
+    each class's round-``r - 1`` class by position, an ``int_array`` (empty
+    in round 0); the rest of what fixes a class's states, ``(degree,
+    input)`` in round 0, later its pads and received codes as one sorted
+    tuple, of distinct codes if ``distinct``; and the distinct codes on the
+    graph's edges, an ``int_array`` (none in round 0).
     """
 
     def __init__(self, plan: RunPlan, inputs: tuple, delta: int,
                  distinct: bool):
         self.inputs, self.distinct, self.width = inputs, distinct, delta + 1
         degrees = (s.stop - s.start for s in plan.slices())
-        row, ids = self._number(zip(degrees, inputs))
-        self.rounds = [(row, [(cid, key) for key, cid in ids.items()], ())]
+        row, keys = self._number(zip(degrees, inputs))
+        self.rounds = [(row, int_array([]), keys, ())]
         # Every pair's code is positive, so a class's pads (0s, one at
         # most for set reception) go in front of its sorted codes.
-        self._pads = {cid: (0,) * (min(1, delta - degree) if distinct
-                                   else delta - degree)
-                      for (degree, _), cid in ids.items()}
+        self._pads = [(0,) * (min(1, delta - degree) if distinct
+                              else delta - degree) for degree, _ in keys]
 
     def extend(self, plan: RunPlan):
         if len(self.rounds) > 1 and \
-                len(self.rounds[-1][1]) == len(self.rounds[-2][1]):
+                len(self.rounds[-1][2]) == len(self.rounds[-2][2]):
             # Nothing split, so nothing ever will: later rounds repeat this.
             self.rounds.append(self.rounds[-1])
             return
-        pads, prev = self._pads, self.rounds[-1][0]
+        pads, prev, width = self._pads, self.rounds[-1][0], self.width
         codes = list(map(add, map(prev.__getitem__, plan.senders), plan.ports))
         got = map(codes.__getitem__, plan.slices())
         if self.distinct:
             got = map(set, got)
-        row, ids = self._number(zip(prev, map(tuple, map(sorted, got))))
-        self.rounds.append((row, [(cid, (p, pads[p] + got))
-                                  for (p, got), cid in ids.items()],
+        row, keys = self._number(zip(prev, map(tuple, map(sorted, got))))
+        prevs = int_array([p // width for p, _ in keys])
+        self._pads = list(map(pads.__getitem__, prevs))
+        self.rounds.append((row, prevs,
+                            [pad + got for pad, (_, got)
+                             in zip(self._pads, keys)],
                             int_array(list(dict.fromkeys(codes)))))
-        self._pads = {cid: pads[p] for (p, _), cid in ids.items()}
 
-    def _number(self, keys) -> tuple[array, dict]:
-        """Each node's class and the classes: keys numbered as first seen,
-        as they stream in."""
+    def _number(self, keys) -> tuple[array, list]:
+        """Each node's class and the classes' keys: keys numbered as first
+        seen, as they stream in."""
         ids, width = {}, self.width
         return int_array([ids.setdefault(key, width * len(ids))
-                          for key in keys]), ids
+                          for key in keys]), list(ids)
 
 
 def execute(machine: StateMachine, graph: PortNumberedGraph,
@@ -225,15 +227,15 @@ def _rounds(machine, partition, trace, max_rounds):
                 stops.add(sid)
         return sid
 
-    current = {cid: identify(machine.init(*key))
-               for cid, key in partition.rounds[0][1]}
+    current = [identify(machine.init(*key))
+               for key in partition.rounds[0][2]]
     memo = {}
     for r in range(max_rounds + 1):
         if r == len(partition.rounds):
             partition.extend(plan)
-        row, classes, codes = partition.rounds[r]
+        row, prevs, keys, codes = partition.rounds[r]
         if r:
-            pairs = [current[c - c % width] + c % width for c in codes]
+            pairs = [current[c // width] + c % width for c in codes]
             emitted, talked = dict.fromkeys(pairs), False
             for pair in emitted:
                 port = pair % width
@@ -247,16 +249,16 @@ def _rounds(machine, partition, trace, max_rounds):
             mid_of = dict(zip(codes, map(emitted.__getitem__, pairs)))
             mid_of[0] = 0
             if talked:
-                sids = list(map(current.__getitem__,
-                                partition.rounds[r - 1][0]))
+                sids = [current[c // width]
+                        for c in partition.rounds[r - 1][0]]
                 for u, port in zip(plan.senders, plan.ports):
                     mid = emitted[sids[u] + port]
                     if mid and sids[u] in stops:
                         raise MachineContractError(
                             f"stopped node {list(plan.index)[u]!r} emitted "
                             f"{message_of[mid]!r} in round {r}")
-            nxt = {}
-            for cid, (prev, got) in classes:
+            nxt = []
+            for prev, got in zip(prevs, keys):
                 sid = current[prev]
                 if sid not in stops:
                     key = (sid, canonical(map(mid_of.__getitem__, got)))
@@ -265,11 +267,11 @@ def _rounds(machine, partition, trace, max_rounds):
                         received = reduce(map(message_of.__getitem__, key[1]))
                         sid = memo[key] = identify(
                             transition(state_of[key[0]], received))
-                nxt[cid] = sid
+                nxt.append(sid)
             current = nxt
-        trace._rows.append(
-            (row, {cid: state_of[sid] for cid, sid in current.items()}))
-        if stops.issuperset(current.values()):
+        held = map(state_of.__getitem__, current)  # class i has id i * width
+        trace._rows.append((row, dict(zip(count(0, width), held))))
+        if stops.issuperset(current):
             trace.stopped_round = r
             return
 

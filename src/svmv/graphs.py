@@ -339,10 +339,12 @@ class RunPlan:
 
 
 def int_array(values: list) -> array:
-    """``values`` packed as machine ints: 4 bytes each, or 8 if one of them
-    needs it."""
+    """``values`` packed as the narrowest machine ints, ``B``, ``H``, ``i``
+    or ``q``, that hold their maximum; as ``q`` if one is negative."""
+    top = max(values, default=0)
+    code = "BHiq"[(top >= 1 << 8) + (top >= 1 << 16) + (top >= 1 << 31)]
     try:
-        return array("i", values)
+        return array(code, values)
     except OverflowError:
         return array("q", values)
 

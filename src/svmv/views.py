@@ -19,8 +19,8 @@ import hashlib
 
 from .machines import EPSILON, SV, StateMachine
 
-# (degree, input, round) -> {children: view}, keyed on each view's own
-# children tuple, so a view costs no second key.
+# (degree, input, round) -> {flat children: view}, keyed on each view's
+# own flat tuple, so a view costs no second key.
 _INTERN: dict = {}
 
 
@@ -29,23 +29,27 @@ class ViewTree:
 
     ``view`` builds every view, so two structurally equal views are one
     object and the default identity ``==`` and ``hash`` are exact
-    structural equality.  ``children`` is a tuple of distinct (port label,
-    child view) pairs, sorted by port and, between equal ports, by the
-    children's ``<``: an order by ``id``, which is total and fixed while
-    the children live, so one pair set has one tuple.  The order differs
-    between processes, and nothing but this canonical form reads it.
-    ``digest``, a sha256 of the structure, is computed on first read: a
-    run fingerprints few of the views it makes.
+    structural equality.  ``flat`` lays the distinct (port label, child
+    view) pairs end to end, so a run's messages die with it, sorted by port
+    and, between equal ports, by the children's ``<``: an order by ``id``,
+    total and fixed while the children live, so one pair set has one tuple.
+    The order differs between processes, and nothing but this canonical
+    form reads it.  ``children`` pairs ``flat`` up on read.  ``digest``, a
+    sha256 of the structure, is computed on first read.
     """
 
-    __slots__ = ("degree", "input", "round", "children", "_digest")
+    __slots__ = ("degree", "input", "round", "flat", "_digest")
 
-    def __init__(self, degree, input, round, children):
+    def __init__(self, degree, input, round, flat):
         self.degree = degree
         self.input = input
         self.round = round
-        self.children = children
+        self.flat = flat
         self._digest = None
+
+    @property
+    def children(self) -> tuple:
+        return tuple(zip(self.flat[::2], self.flat[1::2]))
 
     @property
     def digest(self) -> str:
@@ -66,16 +70,17 @@ class ViewTree:
 
 def view(degree, input, round, children) -> ViewTree:
     """Interned constructor; ``children`` yields (port label, child view)
-    pairs, in any order and with repeats, and is kept as a set: a sorted
-    tuple of the distinct pairs.  A tuple with repeats would count them,
-    which set reception cannot."""
-    children = tuple(sorted(set(children)))
+    pairs, in any order and with repeats, and is kept as a set: the
+    distinct pairs, sorted and laid flat.  A tuple with repeats would count
+    them, which set reception cannot."""
+    # Adding up at most degree-many pairs beats an itertools.chain.
+    flat = sum(sorted(set(children)), ())
     bucket = _INTERN.get((degree, input, round))
     if bucket is None:
         bucket = _INTERN[degree, input, round] = {}
-    got = bucket.get(children)
+    got = bucket.get(flat)
     if got is None:
-        got = bucket[children] = ViewTree(degree, input, round, children)
+        got = bucket[flat] = ViewTree(degree, input, round, flat)
     return got
 
 

@@ -7,8 +7,8 @@ from oracles import naive_bisimilar
 from svmv.bisim import (BisimCache, MaterializedView, PointedInstance,
                         bisimilar, max_bisim_radius)
 from svmv.errors import BallExhaustedError
-from svmv.families import (FamilyView, ROOT, build_ball, family_collapse,
-                           h_counterpart)
+from svmv.families import (FamilyView, ROOT, build_ball, children,
+                           family_collapse, h_counterpart)
 from svmv.graphs import random_colouring, random_graph
 from svmv.propsuite import _random_path
 
@@ -78,31 +78,61 @@ def test_roots_of_opposite_families_split_eventually():
     assert not bisimilar(a, b, 3)
 
 
-def test_agreement_with_naive_recursion():
+def _path_at_depth(rng, view, depth):
+    """A uniform walk down ``view``'s tree by the rules, ``depth`` steps."""
+    v = ROOT
+    while len(v) < depth:
+        v = rng.choice(children(view.family, v, view.d))
+    return v
+
+
+def _oracle_disagreements(cases=400):
+    """The seeded pairs on which ``bisimilar`` and the naive recursion
+    differ.  Tree pairs are drawn at one depth, from ``g`` d=3 and ``hb``/
+    ``hw`` d=2, so their degrees agree, radius 0 mostly holds and the
+    recursion reaches the table entries far from both points."""
     rng = random.Random(42)
-    for _ in range(120):
+    bad = []
+    for _ in range(cases):
         kind = rng.randrange(3)
-        if kind == 0:
-            d = rng.randint(2, 3)
-            view = FamilyView("g", d)
-            a = PointedInstance(view, _random_path(rng, view))
-            b = PointedInstance(view, _random_path(rng, view))
-        elif kind == 1:
-            d = 2
-            fa, fb = rng.choice((("hb", "hw"), ("hb", "hb"), ("hw", "hw")))
-            va, vb = FamilyView(fa, d), FamilyView(fb, d)
-            a = PointedInstance(va, _random_path(rng, va))
-            b = PointedInstance(vb, _random_path(rng, vb))
-        else:
+        if kind == 2:
             graph = random_graph(rng, rng.randint(2, 8), 3)
             if rng.random() < 0.5:
                 graph.colours.update(random_colouring(rng, graph))
             view = MaterializedView(graph)
             a = PointedInstance(view, rng.choice(graph.nodes))
             b = PointedInstance(view, rng.choice(graph.nodes))
+        else:
+            fa, fb, d = ("g", "g", 3) if kind == 0 else \
+                (*rng.choice((("hb", "hw"), ("hb", "hb"), ("hw", "hw"))), 2)
+            va, vb = FamilyView(fa, d), FamilyView(fb, d)
+            depth = rng.randint(0, 2 * d)
+            a = PointedInstance(va, _path_at_depth(rng, va, depth))
+            b = PointedInstance(vb, _path_at_depth(rng, vb, depth))
         r = rng.randint(0, 3)
-        assert bisimilar(a, b, r) == \
-            naive_bisimilar(a.view, a.point, b.view, b.point, r)
+        if bisimilar(a, b, r) != \
+                naive_bisimilar(a.view, a.point, b.view, b.point, r):
+            bad.append((a.point, b.point, r))
+    return bad
+
+
+def test_agreement_with_naive_recursion():
+    assert _oracle_disagreements() == []
+
+
+def test_oracle_catches_a_wrong_table_label(monkeypatch):
+    # One wrong rule-table label: depth-3 nodes read their parent's label 2
+    # as 0.  The checker reads the table; the oracle reads the rules.
+    entry = FamilyView._entry
+
+    def wrong(self, depth, steps):
+        up, down, near = entry(self, depth, steps)
+        if depth == 3 and up == 2:
+            return 0, down, [(near[0][0], 0), *near[1:]]
+        return up, down, near
+
+    monkeypatch.setattr(FamilyView, "_entry", wrong)
+    assert _oracle_disagreements()
 
 
 class ThreeCalls:

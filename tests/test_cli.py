@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -164,15 +165,60 @@ def test_ball_past_any_buildable_size_is_refused_at_once(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_memory_error_is_a_resource_cap(monkeypatch, capsys):
-    def exhausted(d):
-        raise MemoryError
+def test_memory_error_is_a_resource_cap(monkeypatch):
+    # The frame that ran out may hold most of the memory, so the message is
+    # written only once the traceback no longer keeps that frame alive.
+    class Held:
+        pass
 
+    class Stderr(io.StringIO):
+        def write(self, text):
+            assert held[-1]() is None, "the failed frame is still alive"
+            return super().write(text)
+
+    def exhausted(d):
+        data = Held()
+        held.append(weakref.ref(data))
+        raise kind
+
+    held = []
     monkeypatch.setattr("svmv.cli.find_critical_psw", exhausted)
-    assert main(["psw", "--d", "7"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("resource cap: ")
-    assert err.count("\n") == 1
+    for kind, what in ((MemoryError, "memory"),
+                       (RecursionError, "stack depth")):
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        assert main(["psw", "--d", "7"]) == 3
+        assert sys.stderr.getvalue() == \
+            f"resource cap: psw ran out of {what}\n"
+
+
+@pytest.mark.parametrize("args,unbuffered", [
+    (["theorem1", "--delta", "2"], False),
+    (["theorem1", "--delta", "2"], True),
+    (["psw", "--d", "3"], False),
+    (["reproduce", "--seed", "0", "--d-max", "3", "--out", "-"], False),
+], ids=["theorem1", "theorem1-unbuffered", "psw", "reproduce"])
+def test_closed_stdout_is_an_error_not_a_usage_error(args, unbuffered):
+    # The read end is closed before the child starts, so its first write to
+    # stdout, or its final flush when buffered, fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = filter(None, [SVMV_ROOT, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = subprocess.run([sys.executable, "-m", "svmv.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1, done.stderr
+    lines = done.stderr.splitlines()
+    assert [line for line in lines if line.startswith("error: ")] == \
+        lines[-1:]
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def test_bisim_json(tmp_path):

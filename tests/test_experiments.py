@@ -59,6 +59,7 @@ def _traced(call: str) -> tuple[int, int]:
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     script = ("import gc, tracemalloc\n"
               "from svmv.experiments import run_theorem1, run_theorem2\n"
+              "from svmv.walks import find_critical_psw\n"
               "tracemalloc.start()\n"
               f"{call}\n"
               "peak = tracemalloc.get_traced_memory()[1]\n"
@@ -72,7 +73,10 @@ def _traced(call: str) -> tuple[int, int]:
 
 
 def test_theorem1_delta4_memory_peak():
-    # It reads about 7.0 MiB, and 7.2 when the run plan kept a tuple of the
+    # It reads about 6.3 MiB.  It read 7.0 when each view kept its children
+    # as (port, view) pair tuples, each partition class a (class id,
+    # (previous class, received codes)) tuple pair, and every int array 4
+    # bytes a value; and 7.2 when the run plan also kept a tuple of the
     # index's node keys and a tuple of degrees, where it now reads node order
     # off the shared index and degrees off its slot bounds.  A label dict
     # per node, out- and in-maps from node to dict and an index of the run
@@ -83,38 +87,52 @@ def test_theorem1_delta4_memory_peak():
     # of the whole tree, about 13.9; running the unread round 2*delta - 1,
     # about 18.
     peak, _ = _traced("run_theorem1(4)")
-    assert peak < 8.05 * 2**20
+    assert peak < 7.4 * 2**20
 
 
 def test_theorem2_d3_memory_peak():
-    # It reads about 6.7 MiB, and 7.2 with a label dict per node and a
-    # second key tuple per interned view; with those, Python ints, tuples
-    # and frozensets in place of the packed run state and view children
-    # read about 9.6.  Building both coloured trees before running either,
+    # It reads about 5.6 MiB.  Pair tuples as view children, a tuple pair
+    # per partition class and 4-byte int arrays read about 6.7, and with
+    # them a label dict per node and a second key tuple per interned view
+    # about 7.2; with those, Python ints, tuples and frozensets in place of
+    # the packed run state and view children read about 9.6.  Building both coloured trees before running either,
     # so that two graphs, run plans and partitions are alive at once, read
     # about 13.4.
     peak, _ = _traced("run_theorem2(3)")
-    assert peak < 8.0 * 2**20
+    assert peak < 7.0 * 2**20
 
 
 def test_theorem2_d3_interned_views_memory():
-    # The 5,422 views that stay interned read about 1.5 MiB, 1.8 when each
-    # kept a (degree, input, round, children) key tuple of its own, and 3.0
-    # when each view's children were a frozenset.
+    # The 5,422 views that stay interned read about 1.05 MiB with their
+    # children in one flat (port, child, ...) tuple each, 1.5 with a tuple
+    # of (port, child) pairs, 1.8 when each view also kept a (degree, input,
+    # round, children) key tuple of its own, and 3.0 when each view's
+    # children were a frozenset.
     _, held = _traced("run_theorem2(3)")
-    assert held < 2.0 * 2**20
+    assert held < 1.55 * 2**20
+
+
+def test_psw_d7_memory():
+    # The view descent at d=7 peaks at about 8.3 MiB and leaves about 4.7
+    # MiB of views interned; with (port, child) pair tuples as children it
+    # read 14.0 and 10.6.
+    peak, held = _traced("find_critical_psw(7)")
+    assert peak < 9.4 * 2**20
+    assert held < 5.3 * 2**20
 
 
 def test_collapsed_g_delta4_graph_and_plan_memory():
-    # The 13,121-node tree with its run plan reads about 3.8 to 4.0 MiB: one
+    # The 13,121-node tree with its run plan reads about 3.7 to 3.8 MiB: one
     # adjacency tuple per node and one node index, which the plan shares;
-    # the plan keeps only its slot arrays beside it.  A node tuple and a
-    # degree tuple in the plan read about 0.2 more; a label dict per node,
-    # out- and in-maps and a plan index of its own read about 6.7.
+    # the plan keeps only its slot arrays beside it, 2-byte senders and
+    # bounds and 1-byte ports.  With 4-byte slot arrays it read 3.8 to 4.0;
+    # a node tuple and a degree tuple in the plan read about 0.2 more; a
+    # label dict per node, out- and in-maps and a plan index of its own
+    # read about 6.7.
     _, held = _traced("from svmv.families import build_collapsed\n"
                       "graph = build_collapsed('g', 4)\n"
                       "graph.run_plan(4)")
-    assert held < 4.4 * 2**20
+    assert held < 4.25 * 2**20
 
 
 def test_root_experiment_smallest_parameter():

@@ -9,7 +9,8 @@ from svmv.bisim import MaterializedView, PointedInstance, bisimilar
 from svmv.errors import BallExhaustedError, FormatError, NumberingError
 from svmv.families import (build_ball, build_collapsed, build_full,
                            format_path)
-from svmv.graphs import PortNumberedGraph, random_colouring, random_graph
+from svmv.graphs import (PortNumberedGraph, int_array, random_colouring,
+                         random_graph)
 
 
 def test_duplicate_ports_rejected_at_construction():
@@ -288,3 +289,22 @@ def test_json_round_trip_keeps_every_edge_end(seed, n, delta):
         for a, b in ((u, v), (v, u)):
             assert loaded.out_port(str(a), str(b)) == graph.out_port(a, b)
             assert loaded.in_port(str(a), str(b)) == graph.in_port(a, b)
+
+
+@pytest.mark.parametrize("values,code", [
+    ([], "B"), ([0, 255], "B"), ([256], "H"), ([65535, 3], "H"),
+    ([65536], "i"), ([2**31 - 1], "i"), ([2**31], "q"), ([2**63 - 1], "q"),
+    ([-1], "q"), ([5, -2**63, 300], "q"), ([70000, -1], "i"),
+])
+def test_int_array_takes_the_narrowest_type_that_holds_its_values(values,
+                                                                  code):
+    packed = int_array(values)
+    assert packed.typecode == code
+    assert packed.tolist() == values
+
+
+def test_int_array_refuses_what_no_machine_int_holds():
+    with pytest.raises(OverflowError):
+        int_array([2**63])
+    with pytest.raises(OverflowError):
+        int_array([-2**63 - 1])

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import svmv
 from svmv.executor import execute
 from svmv.families import FamilyView, build_collapsed, family_collapse
 from svmv.graphs import PortNumberedGraph
@@ -81,3 +87,31 @@ def test_family_views_are_the_executor_states(family, d):
     for v in graph.nodes:
         for r in range(2 * d + 1):
             assert view_at(v, r) is trace.state(r, v)
+
+
+def test_no_message_outlives_its_run():
+    # Views keep their children flat, so the (port, view) messages of a run
+    # die with it; the only (int, view) 2-tuples left are the flat children
+    # of views with one child.  A fresh interpreter holds no other run's.
+    script = """
+import gc
+from svmv.executor import execute
+from svmv.families import build_collapsed
+from svmv.views import _INTERN, ViewTree, canonical_sv
+trace = execute(canonical_sv(3), build_collapsed("g", 3), max_rounds=5)
+assert trace.states and trace.messages
+del trace
+gc.collect()
+flats = {id(v.flat) for bucket in _INTERN.values() for v in bucket.values()}
+print(sum(type(o) is tuple and len(o) == 2 and type(o[0]) is int
+          and type(o[1]) is ViewTree and id(o) not in flats
+          for o in gc.get_objects()), len(flats))
+"""
+    root = str(Path(svmv.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    left, views = map(int, done.stdout.split())
+    assert views > 50
+    assert left == 0
