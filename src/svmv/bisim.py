@@ -14,7 +14,10 @@ a materialised backend raises instead of answering from a truncated ball.
 Both queries run one recursion that returns the largest radius that holds,
 capped by a budget: ``max_bisim_radius`` descends once with budget ``cap``,
 and ``bisimilar`` asks whether radius r is reached, so it returns at the
-first neighbour without a good enough match.
+first neighbour without a good enough match.  A memo miss matches both
+directions in one pass over the two neighbour lists: a neighbour of the
+second point that an exact pair result from the first direction already
+matches is not asked about again.
 
 The recursion runs on suffix keys, not nodes, and reads a backend through
 three calls only.  ``suffix_key(v, r)`` is the part of a node that fixes
@@ -133,7 +136,8 @@ def _radius(va, x, vb, y, budget, floor, memo) -> int:
 
     A lower ``floor`` asks for more exactness: the top of a
     ``max_bisim_radius`` query passes 0, ``bisimilar(.., r)`` passes r and
-    so returns as soon as one neighbour falls short.
+    so returns as soon as one neighbour falls short.  A memo miss makes
+    one ``_match`` call, which settles both directions.
     """
     if va is vb and x == y:
         return budget
@@ -150,9 +154,7 @@ def _radius(va, x, vb, y, budget, floor, memo) -> int:
     elif cap == 0:
         got = 0
     else:
-        got = _match(va, x, vb, y, cap, floor, memo, False)
-        if got >= floor:
-            got = _match(vb, y, va, x, got, floor, memo, True)
+        got = _match(va, x, vb, y, cap, floor, memo)
     if got >= floor:
         held = max(held, got)
         if got < cap:
@@ -163,39 +165,57 @@ def _radius(va, x, vb, y, budget, floor, memo) -> int:
     return got
 
 
-def _match(va, x, vb, y, cap, floor, memo, swapped) -> int:
+def _match(va, x, vb, y, cap, floor, memo) -> int:
     """Lower ``cap`` to one more than the worst neighbour's best match.
 
-    Every neighbour ``w`` of ``x`` is matched against the equally labelled
-    neighbours of ``y``; the search for ``w`` stops once a match reaches
-    ``cap - 1``, and the whole scan stops once ``cap`` drops below
-    ``floor`` or reaches 0, below which no neighbour can push it.  The
-    neighbours' keys are for ``cap - 1``, read again whenever ``cap``
-    drops, so a memo key is never longer than its budget needs.
-    ``swapped`` says that ``x`` belongs to the second point, so the
-    recursive calls keep the argument order of the top query.
+    Each neighbour of ``x``, then of ``y``, is matched against the equally
+    labelled neighbours of the other point until a match reaches
+    ``cap - 1``; the scan stops once ``cap`` drops below ``floor`` or to 0.
+    Neighbour keys are for ``cap - 1``, read again whenever ``cap`` drops,
+    so a memo key is never longer than its budget needs.
+
+    ``top[j]`` is the best exact result the ``x`` side got for neighbour
+    ``j`` of ``y`` (a re-read keeps the order), so the ``y`` side asks
+    nothing once it reaches ``cap - 1``.  A call that returned at least its
+    ``need`` returned ``min(radius, budget)``, which holds at every lower
+    ``cap``; a lower return only bounds the radius from above.
     """
-    if cap < floor or cap == 0:
-        return cap
     ea, eb, at = va.key_edges(x, cap), vb.key_edges(y, cap), cap
+    top = [-1] * len(eb)
     for i in range(len(ea)):
+        if cap < floor or cap == 0:
+            return cap
         if cap < at:
-            if cap < floor or cap == 0:
-                break
             ea, eb, at = va.key_edges(x, cap), vb.key_edges(y, cap), cap
         w, lab = ea[i]
         best = -1
-        for w2, lab2 in eb:
-            if lab2 != lab:
-                continue
-            need = max(floor - 1, best + 1)
-            if swapped:
-                got = _radius(vb, w2, va, w, cap - 1, need, memo)
-            else:
+        for j, (w2, lab2) in enumerate(eb):
+            if lab2 == lab:
+                need = max(floor - 1, best + 1)
                 got = _radius(va, w, vb, w2, cap - 1, need, memo)
-            if got > best:
-                best = got
-                if best >= cap - 1:
-                    break
+                if got >= need:
+                    top[j] = max(top[j], got)
+                if got > best:
+                    best = got
+                    if best >= cap - 1:
+                        break
+        cap = min(cap, best + 1)
+    for j in range(len(eb)):
+        best = top[j]
+        if best >= cap - 1:
+            continue
+        if cap < floor or cap == 0:
+            return cap
+        if cap < at:
+            ea, eb, at = va.key_edges(x, cap), vb.key_edges(y, cap), cap
+        w2, lab = eb[j]
+        for w, lab2 in ea:
+            if lab2 == lab:
+                got = _radius(va, w, vb, w2, cap - 1,
+                              max(floor - 1, best + 1), memo)
+                if got > best:
+                    best = got
+                    if best >= cap - 1:
+                        break
         cap = min(cap, best + 1)
     return cap

@@ -4,6 +4,7 @@ import weakref
 import pytest
 
 from oracles import naive_bisimilar
+from svmv import bisim
 from svmv.bisim import (BisimCache, MaterializedView, PointedInstance,
                         bisimilar, max_bisim_radius)
 from svmv.errors import BallExhaustedError
@@ -136,15 +137,18 @@ def test_oracle_catches_a_wrong_table_label(monkeypatch):
 
 
 class ThreeCalls:
-    """A backend with only the three calls the recursion makes."""
+    """A backend with only the three calls the recursion makes, counting
+    its ``key_edges`` calls."""
 
-    def __init__(self, graph):
-        self._inner = MaterializedView(graph)
+    def __init__(self, inner):
+        self._inner = inner
+        self.key_edges_calls = 0
 
     def suffix_key(self, v, radius):
         return self._inner.suffix_key(v, radius)
 
     def key_edges(self, key, radius):
+        self.key_edges_calls += 1
         return self._inner.key_edges(key, radius)
 
     def key_local(self, key):
@@ -155,7 +159,8 @@ def test_a_backend_needs_only_three_calls():
     rng = random.Random(23)
     graph = random_graph(rng, 12, 3)
     graph.colours.update(random_colouring(rng, graph))
-    full, bare = MaterializedView(graph), ThreeCalls(graph)
+    full = MaterializedView(graph)
+    bare = ThreeCalls(full)
     answers = set()
     for _ in range(30):
         x, y = rng.choice(graph.nodes), rng.choice(graph.nodes)
@@ -229,3 +234,69 @@ def test_shared_cache_matches_naive_recursion(family):
             best = held[-1] if held else -1
             want = None if best == r else best
             assert max_bisim_radius(a, b, r, cache) == want, (points, r)
+
+
+def test_shared_cache_matches_naive_recursion_on_graphs():
+    # Each graph has a twin, built from the same seed, that differs in the
+    # colour of one node, so a point and its twin stay bisimilar for about
+    # their distance from that node.  Two neighbours of a node often write
+    # the same port towards it: a neighbour then has several equally
+    # labelled candidates, and the second side of a match reads the pair
+    # results that the first side kept.
+    rng = random.Random(0)
+    shared, answers = 0, []
+    for n in range(20):
+        seed, size = rng.random(), rng.randint(4, 12)
+        graph, twin = (random_graph(random.Random(seed), size, 3 + n % 2)
+                       for _ in range(2))
+        if n % 2:
+            colours = random_colouring(rng, graph)
+            graph.colours.update(colours)
+            twin.colours.update(colours)
+        p = rng.choice(graph.nodes)
+        twin.colours[p] = "W" if graph.colours.get(p) == "B" else "B"
+        shared += sum(len(labels) > len(set(labels)) for labels in (
+            [graph.out_port(u, v) for u in graph.neighbours(v)]
+            for v in graph.nodes))
+        va, vb = MaterializedView(graph), MaterializedView(twin)
+        cache = BisimCache()
+        for _ in range(3):
+            x = rng.choice(graph.nodes)
+            y = x if rng.random() < 0.7 else rng.choice(graph.nodes)
+            a, b = PointedInstance(va, x), PointedInstance(vb, y)
+            truth = [naive_bisimilar(va, x, vb, y, r) for r in range(5)]
+            for r in rng.sample(range(5), 5):
+                assert bisimilar(a, b, r, cache) == truth[r], (n, x, y, r)
+                held = [r2 for r2 in range(r + 1) if truth[r2]]
+                best = held[-1] if held else -1
+                want = None if best == r else best
+                assert max_bisim_radius(a, b, r, cache) == want, (n, x, y, r)
+                answers.append(want)
+    assert len(answers) * 2 >= 200 and shared > 0
+    assert {-1, 0, 1, 2, 3, None} <= set(answers)
+
+
+# A match that scanned the second side as a pass of its own, asking every
+# pair again, read 998 key_edges lists and made 1,911 _radius calls on the
+# first query, and 4,824 and 11,986 on the second.
+@pytest.mark.parametrize("d, collapse, cap, key_edges_calls, radius_calls", [
+    (4, True, 8, 506, 1039),
+    (5, False, 10, 2384, 5886),
+])
+def test_a_memo_miss_asks_each_neighbour_pair_once(
+        monkeypatch, d, collapse, cap, key_edges_calls, radius_calls):
+    view = ThreeCalls(
+        FamilyView("g", d, family_collapse("g", d) if collapse else None))
+    calls = 0
+    radius = bisim._radius
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return radius(*args)
+
+    monkeypatch.setattr(bisim, "_radius", counted)
+    got = max_bisim_radius(PointedInstance(view, U), PointedInstance(view, W),
+                           cap)
+    assert got == 2 * d - 3
+    assert (view.key_edges_calls, calls) == (key_edges_calls, radius_calls)

@@ -626,7 +626,9 @@ def test_reproduce_beyond_the_psw_cap_is_refused_before_searching(tmp_path):
 
 
 def test_bisim_past_the_stack_depth_is_a_resource_cap(tmp_path):
-    # The recursion takes one frame per level of the radius budget.
+    # The recursion takes two frames per level of the radius budget,
+    # _radius and _match, so under the default limit of 1,000 frames this
+    # pair answers at --radius 490 and exits 3 from 495.
     result = _run_cli(["bisim", "--family", "g", "--d", "3", "--a", "(2,1)",
                        "--b", "(3,2)", "--radius", "500"],
                       cwd=tmp_path, hash_seed="0")
