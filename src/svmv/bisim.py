@@ -27,7 +27,10 @@ r - 1, trimmed to the budget of the call they are passed to, and
 ``key_local(key)`` the degree and local input.  Two equal keys of one
 backend hold for the whole budget.  A pair's memo entry is keyed by the two
 keys and holds an interval of radii, so pairs with isomorphic balls and all
-radii of one pair share an entry.
+radii of one pair share an entry.  Bisimilarity is symmetric, so on one
+backend a pair of keys and its mirror share one entry as well: a miss looks
+up the swapped keys before it matches, and each unordered pair is settled
+once.  A pair on two backends keeps its ordered key.
 """
 
 from __future__ import annotations
@@ -83,9 +86,12 @@ class BisimCache:
     themselves (hashed by identity; the cache keeps them alive, so a later
     backend cannot take a cached one's id) and each point's ``suffix_key``
     for the radius budget of the call.  Points with equal keys have
-    isomorphic balls within that budget, so they share one entry.  The
-    value is the interval ``(held, failed)``: the largest radius known to
-    hold and the smallest radius known to fail (``inf`` while unknown).
+    isomorphic balls within that budget, so they share one entry.  On one
+    backend the entry of ``key_a, key_b`` also answers ``key_b, key_a``,
+    so there is one entry per unordered pair of keys, in the order it was
+    first stored.  The value is the interval ``(held, failed)``: the
+    largest radius known to hold and the smallest radius known to fail
+    (``inf`` while unknown).
     One entry serves every radius, which assumes downward closure
     (r-bisimilar implies (r-1)-bisimilar); the monotonicity suite still
     checks that closure from outside, with a fresh cache per query.
@@ -137,12 +143,19 @@ def _radius(va, x, vb, y, budget, floor, memo) -> int:
     A lower ``floor`` asks for more exactness: the top of a
     ``max_bisim_radius`` query passes 0, ``bisimilar(.., r)`` passes r and
     so returns as soon as one neighbour falls short.  A memo miss makes
-    one ``_match`` call, which settles both directions.
+    one ``_match`` call, which settles both directions.  On one backend the
+    entry is found, and written, under either order of the two keys.
     """
-    if va is vb and x == y:
-        return budget
     key = (va, vb, x, y)
-    held, failed = memo.get(key, _UNKNOWN)
+    entry = memo.get(key)
+    if entry is None and va is vb:
+        if x == y:
+            return budget
+        mirror = (va, vb, y, x)
+        entry = memo.get(mirror)
+        if entry is not None:
+            key = mirror
+    held, failed = _UNKNOWN if entry is None else entry
     if held >= budget:
         return budget
     if failed <= budget and (failed == held + 1 or failed <= floor):
@@ -161,6 +174,10 @@ def _radius(va, x, vb, y, budget, floor, memo) -> int:
             failed = got + 1
     else:
         failed = min(failed, got + 1)
+    if entry is None and va is vb and mirror in memo:
+        # A cycle through the mirror stored it during the match; this
+        # result overwrites it, as it would an entry under ``key``.
+        key = mirror
     memo[key] = (held, failed)
     return got
 
@@ -178,28 +195,36 @@ def _match(va, x, vb, y, cap, floor, memo) -> int:
     ``j`` of ``y`` (a re-read keeps the order), so the ``y`` side asks
     nothing once it reaches ``cap - 1``.  A call that returned at least its
     ``need`` returned ``min(radius, budget)``, which holds at every lower
-    ``cap``; a lower return only bounds the radius from above.
+    ``cap``; a lower return only bounds the radius from above.  The inner
+    loops run once per neighbour pair, so they compare and count in place
+    of calling ``max``, ``min`` and ``enumerate``.
     """
     ea, eb, at = va.key_edges(x, cap), vb.key_edges(y, cap), cap
     top = [-1] * len(eb)
+    low = floor - 1
     for i in range(len(ea)):
         if cap < floor or cap == 0:
             return cap
         if cap < at:
             ea, eb, at = va.key_edges(x, cap), vb.key_edges(y, cap), cap
         w, lab = ea[i]
+        sub = cap - 1
         best = -1
-        for j, (w2, lab2) in enumerate(eb):
+        need = low if low > 0 else 0
+        j = -1
+        for w2, lab2 in eb:
+            j += 1
             if lab2 == lab:
-                need = max(floor - 1, best + 1)
-                got = _radius(va, w, vb, w2, cap - 1, need, memo)
-                if got >= need:
-                    top[j] = max(top[j], got)
+                got = _radius(va, w, vb, w2, sub, need, memo)
+                if got >= need and got > top[j]:
+                    top[j] = got
                 if got > best:
                     best = got
-                    if best >= cap - 1:
+                    if best >= sub:
                         break
-        cap = min(cap, best + 1)
+                    need = best + 1 if best >= low else low
+        if best < sub:
+            cap = best + 1
     for j in range(len(eb)):
         best = top[j]
         if best >= cap - 1:
@@ -209,13 +234,16 @@ def _match(va, x, vb, y, cap, floor, memo) -> int:
         if cap < at:
             ea, eb, at = va.key_edges(x, cap), vb.key_edges(y, cap), cap
         w2, lab = eb[j]
+        sub = cap - 1
+        need = best + 1 if best >= low else low
         for w, lab2 in ea:
             if lab2 == lab:
-                got = _radius(va, w, vb, w2, cap - 1,
-                              max(floor - 1, best + 1), memo)
+                got = _radius(va, w, vb, w2, sub, need, memo)
                 if got > best:
                     best = got
-                    if best >= cap - 1:
+                    if best >= sub:
                         break
-        cap = min(cap, best + 1)
+                    need = best + 1 if best >= low else low
+        if best < sub:
+            cap = best + 1
     return cap

@@ -278,10 +278,12 @@ def test_shared_cache_matches_naive_recursion_on_graphs():
 
 # A match that scanned the second side as a pass of its own, asking every
 # pair again, read 998 key_edges lists and made 1,911 _radius calls on the
-# first query, and 4,824 and 11,986 on the second.
+# first query, and 4,824 and 11,986 on the second.  With one memo entry per
+# ordered pair of keys, so that a pair and its mirror were each settled, the
+# one-pass match read 506 and made 1,039, and 2,384 and 5,886.
 @pytest.mark.parametrize("d, collapse, cap, key_edges_calls, radius_calls", [
-    (4, True, 8, 506, 1039),
-    (5, False, 10, 2384, 5886),
+    (4, True, 8, 428, 873),
+    (5, False, 10, 1928, 4746),
 ])
 def test_a_memo_miss_asks_each_neighbour_pair_once(
         monkeypatch, d, collapse, cap, key_edges_calls, radius_calls):
@@ -300,3 +302,68 @@ def test_a_memo_miss_asks_each_neighbour_pair_once(
                            cap)
     assert got == 2 * d - 3
     assert (view.key_edges_calls, calls) == (key_edges_calls, radius_calls)
+
+
+@pytest.mark.parametrize("collapse, entries", [(False, 918), (True, 1875)])
+def test_one_backend_keeps_one_entry_per_unordered_pair(collapse, entries):
+    # An entry per ordered pair held 1,159 and 2,530 entries here, 482 and
+    # 1,310 of them with their mirror present.
+    a, b = g_pair(5, collapse)
+    cache = BisimCache()
+    assert max_bisim_radius(a, b, 10, cache) == 7
+    mirrored = [key for key in cache.memo
+                if (key[0], key[1], key[3], key[2]) in cache.memo]
+    assert mirrored == []
+    assert len(cache.memo) == entries
+
+
+def test_two_backends_keep_ordered_pairs():
+    d = 4
+    collapse = family_collapse("hb", d)
+    a, b = (PointedInstance(FamilyView(name, d, collapse), ROOT)
+            for name in ("hb", "hw"))
+    cache = BisimCache()
+    assert max_bisim_radius(a, b, 2 * d, cache) == 2 * d - 2
+    assert len(cache.memo) == 1295
+
+
+def _one_backend_pairs(rng):
+    """Seeded point pairs, each list on one backend: random graphs, then
+    collapsed ``g`` d=3 and ``hb`` d=2 trees."""
+    for n in range(8):
+        graph = random_graph(rng, rng.randint(3, 10), 3)
+        if n % 2:
+            graph.colours.update(random_colouring(rng, graph))
+        yield MaterializedView(graph), [
+            tuple(rng.choice(graph.nodes) for _ in range(2))
+            for _ in range(4)]
+    for family, d in (("g", 3), ("hb", 2)):
+        view = FamilyView(family, d, family_collapse(family, d))
+        yield view, [tuple(rng.choice([ROOT, _random_path(rng, view)])
+                           for _ in range(2)) for _ in range(8)]
+
+
+def test_swapped_queries_share_one_entry_and_match_the_oracle():
+    rng = random.Random(26)
+    answers = set()
+    for view, pairs in _one_backend_pairs(rng):
+        cache = BisimCache()
+        for x, y in pairs:
+            a, b = PointedInstance(view, x), PointedInstance(view, y)
+            truth = [naive_bisimilar(view, x, view, y, r) for r in range(5)]
+            for r in rng.sample(range(5), 5):
+                held = [r2 for r2 in range(r + 1) if truth[r2]]
+                best = held[-1] if held else -1
+                want = None if best == r else best
+                kx, ky = view.suffix_key(x, r), view.suffix_key(y, r)
+                top = (view, view, kx, ky), (view, view, ky, kx)
+                stored = []
+                for p, q in ((a, b), (b, a)):
+                    assert bisimilar(p, q, r, cache) == truth[r], (x, y, r)
+                    assert max_bisim_radius(p, q, r, cache) == want, (x, y, r)
+                    answers.add(want)
+                    stored.append([key in cache.memo for key in top])
+                # The swapped query reads and writes the first one's entry.
+                assert stored[1] == stored[0], (x, y, r)
+                assert sum(stored[0]) == (kx != ky), (x, y, r)
+    assert {-1, 0, None} <= answers and len(answers) >= 4
