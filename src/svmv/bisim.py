@@ -31,6 +31,11 @@ radii of one pair share an entry.  Bisimilarity is symmetric, so on one
 backend a pair of keys and its mirror share one entry as well: a miss looks
 up the swapped keys before it matches, and each unordered pair is settled
 once.  A pair on two backends keeps its ordered key.
+
+Equal keys arrive as fresh tuples from every ``key_edges`` call, so the
+cache stores each key and each interval once: an entry takes the stored
+copies of its two keys when it is first written, and every written
+interval is the stored copy.  Lookups store nothing.
 """
 
 from __future__ import annotations
@@ -92,12 +97,16 @@ class BisimCache:
     first stored.  The value is the interval ``(held, failed)``: the
     largest radius known to hold and the smallest radius known to fail
     (``inf`` while unknown).
+    ``_stored`` maps each key and each interval to the one copy the memo
+    holds: an entry's keys come from it only when the entry is first
+    written, and its interval whenever it is written.
     One entry serves every radius, which assumes downward closure
     (r-bisimilar implies (r-1)-bisimilar); the monotonicity suite still
     checks that closure from outside, with a fresh cache per query.
     """
 
     memo: dict = field(default_factory=dict)
+    _stored: dict = field(default_factory=dict, init=False, repr=False)
 
 
 _UNKNOWN = (-1, inf)
@@ -114,7 +123,8 @@ def bisimilar(a: PointedInstance, b: PointedInstance, r: int,
     if cache is None:
         cache = BisimCache()
     return _radius(a.view, a.view.suffix_key(a.point, r), b.view,
-                   b.view.suffix_key(b.point, r), r, r, cache.memo) == r
+                   b.view.suffix_key(b.point, r), r, r, cache.memo,
+                   cache._stored) == r
 
 
 def max_bisim_radius(a: PointedInstance, b: PointedInstance, cap: int,
@@ -129,11 +139,12 @@ def max_bisim_radius(a: PointedInstance, b: PointedInstance, cap: int,
     if cache is None:
         cache = BisimCache()
     got = _radius(a.view, a.view.suffix_key(a.point, cap), b.view,
-                  b.view.suffix_key(b.point, cap), cap, 0, cache.memo)
+                  b.view.suffix_key(b.point, cap), cap, 0, cache.memo,
+                  cache._stored)
     return None if got == cap else got
 
 
-def _radius(va, x, vb, y, budget, floor, memo) -> int:
+def _radius(va, x, vb, y, budget, floor, memo, stored) -> int:
     """``min(largest bisimilarity radius of x and y, budget)`` if that is
     at least ``floor``; otherwise some ``r < floor`` with radius r+1
     failing.  ``x`` and ``y`` are suffix keys for ``budget``.  Needs
@@ -144,7 +155,8 @@ def _radius(va, x, vb, y, budget, floor, memo) -> int:
     ``max_bisim_radius`` query passes 0, ``bisimilar(.., r)`` passes r and
     so returns as soon as one neighbour falls short.  A memo miss makes
     one ``_match`` call, which settles both directions.  On one backend the
-    entry is found, and written, under either order of the two keys.
+    entry is found, and written, under either order of the two keys.  A new
+    entry's keys, and every written interval, are the copies in ``stored``.
     """
     key = (va, vb, x, y)
     entry = memo.get(key)
@@ -167,22 +179,26 @@ def _radius(va, x, vb, y, budget, floor, memo) -> int:
     elif cap == 0:
         got = 0
     else:
-        got = _match(va, x, vb, y, cap, floor, memo)
+        got = _match(va, x, vb, y, cap, floor, memo, stored)
     if got >= floor:
         held = max(held, got)
         if got < cap:
             failed = got + 1
     else:
         failed = min(failed, got + 1)
-    if entry is None and va is vb and mirror in memo:
-        # A cycle through the mirror stored it during the match; this
-        # result overwrites it, as it would an entry under ``key``.
-        key = mirror
-    memo[key] = (held, failed)
+    if entry is None:
+        if va is vb and mirror in memo:
+            # A cycle through the mirror stored it during the match; this
+            # result overwrites it, as it would an entry under ``key``.
+            key = mirror
+        else:
+            key = va, vb, stored.setdefault(x, x), stored.setdefault(y, y)
+    interval = held, failed
+    memo[key] = stored.setdefault(interval, interval)
     return got
 
 
-def _match(va, x, vb, y, cap, floor, memo) -> int:
+def _match(va, x, vb, y, cap, floor, memo, stored) -> int:
     """Lower ``cap`` to one more than the worst neighbour's best match.
 
     Each neighbour of ``x``, then of ``y``, is matched against the equally
@@ -215,7 +231,7 @@ def _match(va, x, vb, y, cap, floor, memo) -> int:
         for w2, lab2 in eb:
             j += 1
             if lab2 == lab:
-                got = _radius(va, w, vb, w2, sub, need, memo)
+                got = _radius(va, w, vb, w2, sub, need, memo, stored)
                 if got >= need and got > top[j]:
                     top[j] = got
                 if got > best:
@@ -238,7 +254,7 @@ def _match(va, x, vb, y, cap, floor, memo) -> int:
         need = best + 1 if best >= low else low
         for w, lab2 in ea:
             if lab2 == lab:
-                got = _radius(va, w, vb, w2, sub, need, memo)
+                got = _radius(va, w, vb, w2, sub, need, memo, stored)
                 if got > best:
                     best = got
                     if best >= sub:

@@ -12,6 +12,7 @@ from svmv.families import (FamilyView, ROOT, build_ball, children,
                            family_collapse, h_counterpart)
 from svmv.graphs import random_colouring, random_graph
 from svmv.propsuite import _random_path
+from test_experiments import _traced
 
 U, W = ((1, 0),), ((2, 1),)
 
@@ -315,6 +316,40 @@ def test_one_backend_keeps_one_entry_per_unordered_pair(collapse, entries):
                 if (key[0], key[1], key[3], key[2]) in cache.memo]
     assert mirrored == []
     assert len(cache.memo) == entries
+
+
+def test_memo_stores_each_key_and_interval_once():
+    # Equal keys arrive as fresh tuples from every key_edges call.  With a
+    # key pair and an interval tuple of each entry's own, the 1,875 entries
+    # held 3,513 key objects for 764 keys and 1,875 interval objects for 23
+    # intervals.
+    a, b = g_pair(5, collapse=True)
+    cache = BisimCache()
+    assert max_bisim_radius(a, b, 10, cache) == 7
+    assert len(cache.memo) == 1875
+    copies = {}
+    for key in cache.memo:
+        for x in key[2:]:
+            copies.setdefault(x, set()).add(id(x))
+    assert all(len(ids) == 1 for ids in copies.values())
+    intervals = list(cache.memo.values())
+    assert len({id(i) for i in intervals}) <= len(set(intervals))
+
+
+def test_hb_hw_d5_roots_cache_memory():
+    # The roots' cache of 14,732 entries, with both backends' rule tables,
+    # holds about 3.16 MiB with each suffix key and interval stored once; it
+    # held 6.41 when each entry kept its own two keys and interval.
+    _, held = _traced(
+        "from svmv.bisim import BisimCache, PointedInstance, max_bisim_radius\n"
+        "from svmv.families import FamilyView, ROOT, family_collapse\n"
+        "collapse = family_collapse('hb', 5)\n"
+        "a, b = (PointedInstance(FamilyView(name, 5, collapse), ROOT)\n"
+        "        for name in ('hb', 'hw'))\n"
+        "cache = BisimCache()\n"
+        "assert max_bisim_radius(a, b, 10, cache) == 8\n"
+        "assert len(cache.memo) == 14732")
+    assert held < 4.5 * 2**20
 
 
 def test_two_backends_keep_ordered_pairs():
