@@ -18,8 +18,8 @@ import sys
 from .bisim import PointedInstance, max_bisim_radius
 from .errors import (FormatError, NumberingError, ResourceLimitError,
                      SvmvError)
-from .families import (DEFAULT_MAX_NODES, FamilyView, build_ball, build_full,
-                       family_collapse, format_path, parse_path,
+from .families import (DEFAULT_MAX_NODES, FAMILIES, FamilyView, build_ball,
+                       build_full, family_collapse, format_path, parse_path,
                        validate_path)
 from .graphs import PortNumberedGraph
 from .problem import COLOURS, check_pi, solve_pi_mv
@@ -151,9 +151,9 @@ def cmd_check_pi(args) -> int:
             isinstance(value, (list, dict)) for value in candidate.values()):
         raise FormatError(f"{args.candidate}: not a JSON object of colours")
     for v in graph.nodes:
-        if graph.colour(v) not in COLOURS:
+        if graph.colours.get(v) not in COLOURS:
             raise FormatError(f"{args.graph}: node {v!r} has colour "
-                              f"{graph.colour(v)!r}, not B, W or G")
+                              f"{graph.colours.get(v)!r}, not B, W or G")
     # JSON keys are text: a node's key is its id if a string, else its JSON.
     keys = {v: v if isinstance(v, str) else json.dumps(v) for v in graph.nodes}
     if len(set(keys.values())) < len(keys):
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="materialise a tree ball as JSON + DOT")
-    p.add_argument("--family", choices=("g", "hb", "hw"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--center", default="()")
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_psw)
 
     p = sub.add_parser("bisim", help="radius-bounded bisimilarity query")
-    p.add_argument("--family", choices=("g", "hb", "hw"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--a", required=True, help='node path, e.g. "(1,0)"')
     p.add_argument("--b", required=True)

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import FormatError, NumberingError, ResourceLimitError
-from .graphs import PortNumberedGraph
+from .errors import (FormatError, InternalInconsistencyError, NumberingError,
+                     ResourceLimitError)
+from .graphs import PALETTE, PortNumberedGraph
 from .views import ViewTree, view
 
 FAMILIES = ("g", "hb", "hw")
@@ -180,6 +181,14 @@ def validate_path(family: str, v: Path, d: int):
                 f"step {i + 1} is not produced by any rule")
 
 
+def require_unique_labels(where: str, labels: list):
+    """Raise unless each label names one neighbour, as walk pairs need."""
+    if len(set(labels)) != len(labels):
+        raise InternalInconsistencyError(
+            f"neighbours of {where} share back-labels {labels}; "
+            f"per-label uniqueness is violated")
+
+
 # -- port collapses ---------------------------------------------------------
 
 
@@ -206,7 +215,7 @@ class PortCollapse:
     def apply_graph(self, graph: PortNumberedGraph) -> PortNumberedGraph:
         out = PortNumberedGraph()
         for v in graph.nodes:
-            out.add_node(v, graph.colour(v))
+            out.add_node(v, graph.colours.get(v))
         out.true_degree.update(graph.true_degree)
         for u, v in graph.edges():
             out.add_edge(u, v,
@@ -283,9 +292,8 @@ class FamilyView:
         #                        the child's suffix_key for 1), ...),
         #                      key_edges(that key, 1), which it fixes)
         self._table: dict[tuple, tuple] = {}
-        # (key, parent's view, round) -> view_of; view -> restrict(view)
+        # (key, parent's view, round) -> view_of
         self._views: dict[tuple, ViewTree] = {}
-        self._restricted: dict[ViewTree, ViewTree] = {}
         self._degrees = [_depth_degree(family, depth, d)
                          for depth in range(2 * d + 1)]
 
@@ -370,7 +378,7 @@ class FamilyView:
             up, down, _ = self._entry(depth, steps)
             heard = [(up, parent)] if depth and r else []
             if r:
-                grand = self.restrict(self.restrict(parent)) \
+                grand = parent.restrict().restrict() \
                     if depth and r >= 3 else None
                 own = self.view_of(key, grand, r - 2) if r >= 2 else None
                 heard.extend([(label, self.view_of(child, own, r - 1))
@@ -379,15 +387,14 @@ class FamilyView:
                                                      r, heard)
         return got
 
-    def restrict(self, v: ViewTree) -> ViewTree:
-        """The round-``r - 1`` view inside a round-``r`` view, r >= 1; that
-        of a round-1 view is its bare degree and input."""
-        got = self._restricted.get(v)
-        if got is None:
-            got = self._restricted[v] = view(
-                v.degree, v.input, v.round - 1, () if v.round == 1 else
-                [(label, self.restrict(child)) for label, child in v.children])
-        return got
+    def require_unique_back_labels(self):
+        """:func:`require_unique_labels` on every table entry filled so far,
+        since a view keeps a repeated (label, child) pair only once."""
+        for depth, steps in self._table:
+            up, down, _ = self._entry(depth, steps)
+            require_unique_labels(
+                f"the depth-{depth} nodes ending {format_path(steps)}",
+                [up] * (depth > 0) + [label for _, label, _ in down])
 
     def out_label(self, u: Path, v: Path):
         label = pi(self._family, u, v)
@@ -521,7 +528,7 @@ def parse_path(text: str, family: str) -> Path:
         if want == 2:
             steps.append(nums)
         else:
-            if parts[2] not in ("B", "W", "G"):
+            if parts[2] not in PALETTE:
                 raise FormatError(f"bad colour {parts[2]!r} in step {chunk!r}")
             steps.append(nums + (parts[2],))
     return tuple(steps)

@@ -126,9 +126,6 @@ class PortNumberedGraph:
     def declared_degree(self, v) -> int:
         return self.true_degree.get(v, self.degree(v))
 
-    def colour(self, v) -> str | None:
-        return self.colours.get(v)
-
     def out_port(self, u, v):
         at_u = self._ends(u)
         return at_u[_find(at_u, v) + 1]
@@ -142,14 +139,19 @@ class PortNumberedGraph:
 
     # -- validation -------------------------------------------------------
 
-    def is_proper(self) -> bool:
-        """True iff every node's out- and in-port sets are exactly 1..deg."""
-        for ends in self._adj:
+    def improper_nodes(self) -> list:
+        """Nodes whose out- or in-ports are not exactly 1..deg, in order."""
+        bad = []
+        for v, ends in zip(self._index, self._adj):
             outs, ins = ends[1::3], ends[2::3]
             want = set(range(1, len(outs) + 1))
             if set(outs) != want or (ins != outs and set(ins) != want):
-                return False
-        return True
+                bad.append(v)
+        return bad
+
+    def is_proper(self) -> bool:
+        """True iff no node is improper (:meth:`improper_nodes`)."""
+        return not self.improper_nodes()
 
     def require_runnable(self, delta: int):
         """Check the numbering an executor needs: integer labels in

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .graphs import PortNumberedGraph
+from .graphs import PALETTE as COLOURS, PortNumberedGraph
 from .machines import EPSILON, MV, StateMachine
-
-COLOURS = ("B", "W", "G")
-_TIE_ORDER = {"B": 0, "W": 1, "G": 2}
 
 
 def solve_pi_mv(delta: int) -> StateMachine:
@@ -42,7 +39,7 @@ def solve_pi_mv(delta: int) -> StateMachine:
             return ("done", state[1])
         best = max(counts.values())
         winner = min((c for c, n in counts.items() if n == best),
-                     key=_TIE_ORDER.__getitem__)
+                     key=COLOURS.index)
         return ("done", winner)
 
     def stopping(state):

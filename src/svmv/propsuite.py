@@ -18,7 +18,7 @@ from functools import cache
 from .bisim import BisimCache, MaterializedView, PointedInstance, bisimilar, \
     max_bisim_radius
 from .executor import execute
-from .families import (FamilyView, ROOT, build_collapsed, children,
+from .families import (FAMILIES, FamilyView, ROOT, build_collapsed, children,
                        family_collapse, h_counterpart, node_degree)
 from .graphs import random_colouring, random_graph
 from .util import derive_seed
@@ -55,7 +55,7 @@ def degree_law_suite(rng, views) -> Iterator[str]:
     coloured ones; each tree embeds in the next parameter's tree with its
     child lists as prefixes."""
     for _ in range(CASES):
-        family = rng.choice(("g", "hb", "hw"))
+        family = rng.choice(FAMILIES)
         d = rng.randint(2, 5)
         v = _random_path(rng, views(family, d))
         kids = children(family, v, d)
@@ -88,7 +88,7 @@ def label_uniqueness_suite(rng, views) -> Iterator[str]:
     same-colour and flip-colour child blocks share back-labels by design.
     """
     for _ in range(CASES):
-        family = rng.choice(("g", "hb", "hw"))
+        family = rng.choice(FAMILIES)
         d = rng.randint(2, 5)
         view = views(family, d)
         v = _random_path(rng, view)

@@ -216,13 +216,7 @@ def collapse_audit_rows(fault: PortCollapse | None = None
         try:
             graph = collapse.apply_graph(build_full(family, d))
             graph.require_runnable(delta)
-            bad = []
-            for v in graph.nodes:
-                want = set(range(1, graph.degree(v) + 1))
-                out = {graph.out_port(v, u) for u in graph.neighbours(v)}
-                inn = {graph.in_port(v, u) for u in graph.neighbours(v)}
-                if len(v) < 2 * d and (out != want or inn != want):
-                    bad.append(v)
+            bad = [v for v in graph.improper_nodes() if len(v) < 2 * d]
             ok = not bad
             observed = "internal nodes proper, all labels runnable" if ok \
                 else f"{len(bad)} internal nodes break properness"

@@ -35,17 +35,17 @@ class ViewTree:
     total and fixed while the children live, so one pair set has one tuple.
     The order differs between processes, and nothing but this canonical
     form reads it.  ``children`` pairs ``flat`` up on read.  ``digest``, a
-    sha256 of the structure, is computed on first read.
+    sha256 of the structure, and ``restrict()`` are kept from a first read.
     """
 
-    __slots__ = ("degree", "input", "round", "flat", "_digest")
+    __slots__ = ("degree", "input", "round", "flat", "_digest", "_restriction")
 
     def __init__(self, degree, input, round, flat):
         self.degree = degree
         self.input = input
         self.round = round
         self.flat = flat
-        self._digest = None
+        self._digest = self._restriction = None
 
     @property
     def children(self) -> tuple:
@@ -59,6 +59,17 @@ class ViewTree:
                                       for label, child in self.children))
             blob = f"{self.degree}|{self.input!r}|{self.round}|{payload}"
             got = self._digest = hashlib.sha256(blob.encode()).hexdigest()
+        return got
+
+    def restrict(self) -> ViewTree:
+        """The round-``r - 1`` view inside this round-``r`` view, r >= 1;
+        that of a round-1 view is its bare degree and input."""
+        got = self._restriction
+        if got is None:
+            got = self._restriction = view(
+                self.degree, self.input, self.round - 1,
+                () if self.round == 1 else
+                [(label, child.restrict()) for label, child in self.children])
         return got
 
     def __lt__(self, other):

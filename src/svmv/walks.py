@@ -18,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormatError, InternalInconsistencyError
-from .families import FamilyView, Path, format_path, validate_path
+from .families import (FamilyView, Path, format_path, require_unique_labels,
+                       validate_path)
 
 START_1: Path = ((1, 0),)
 START_2: Path = ((2, 1),)
 # The largest d a psw search runs for, in a reproduce row or through
-# ``svmv psw``: its view memo holds 316,525 entries at d=8 (7-9 s, about
-# 250 MiB) and about 5M at d=9, some 160 s and 7 GiB.
+# ``svmv psw``: its view memo holds 316,525 entries at d=8 (3.6-4.2 s and
+# 125 MiB, measured in README) and about 5M at d=9, some 160 s and 7 GiB
+# by an estimate that predates views keeping their children flat.
 PSW_D_MAX = 8
 
 PSW = "psw"
@@ -67,16 +69,8 @@ def successor(view: FamilyView, v: Path, label) -> Path | None:
 def _back_label_map(view: FamilyView, v: Path) -> dict:
     """Back-label -> neighbour of ``v``."""
     edges = view.back_edges(v)
-    _unique(format_path(v), [lab for _, lab in edges])
+    require_unique_labels(format_path(v), [lab for _, lab in edges])
     return {lab: u for u, lab in edges}
-
-
-def _unique(where: str, labels):
-    """Raise unless each label names one neighbour, as walk pairs need."""
-    if len(set(labels)) != len(labels):
-        raise InternalInconsistencyError(
-            f"neighbours of {where} share back-labels {labels}; "
-            f"per-label uniqueness is violated")
 
 
 def find_critical_psw(d: int) -> tuple[int, WalkPair]:
@@ -93,13 +87,10 @@ def find_critical_psw(d: int) -> tuple[int, WalkPair]:
     splits the start views by round k + 1, since the ends' round-1 views
     differ and each shared label carries a difference one round up.  So
     views equal through round R - 1 rule out any pair shorter than the
-    R - 1 labels read.  View children drop repeated (label, child) pairs,
-    so the rule-table entries the views read are checked for repeated
-    labels instead; a repeat, or no split by round 2d-1, raises
-    ``InternalInconsistencyError``.
+    R - 1 labels read.  A repeated label in the rule-table entries the
+    views read (``FamilyView.require_unique_back_labels``), or no split by
+    round 2d-1, raises ``InternalInconsistencyError``.
     """
-    if d < 2:
-        raise FormatError("d must be >= 2")
     view = FamilyView("g", d)
     root, *starts = (view.suffix_key(v, 1) for v in ((), START_1, START_2))
     for r in range(1, 2 * d):
@@ -107,10 +98,7 @@ def find_critical_psw(d: int) -> tuple[int, WalkPair]:
         v1, v2 = (view.view_of(key, above, r) for key in starts)
         if v1 is not v2:
             break
-    for depth, steps in view._table:
-        up, down, _ = view._entry(depth, steps)
-        _unique(f"the depth-{depth} nodes ending {format_path(steps)}",
-                [up] * (depth > 0) + [label for _, label, _ in down])
+    view.require_unique_back_labels()
     if v1 is v2:
         raise InternalInconsistencyError(
             f"the start views do not split by round {2 * d - 1} for d={d}")

@@ -15,7 +15,7 @@ import pytest
 
 from svmv import propsuite, reproduce
 from svmv.errors import ResourceLimitError
-from svmv.families import build_full
+from svmv.families import PortCollapse, build_full
 from svmv.reproduce import (bisim_radius_rows, caps_row, collapse_audit_rows,
                             property_rows, psw_rows, psw_witness_row,
                             simulation_rows, theorem1_rows, theorem2_rows)
@@ -161,3 +161,25 @@ def test_criterion_8_desk_scale_caps_documented():
 
 def test_collapse_audit_rows_hold():
     _check(collapse_audit_rows())
+
+
+def test_collapse_audit_counts_improper_internal_nodes(monkeypatch):
+    # The fault hook swaps only the g collapse, and a runnable g numbering
+    # is proper at every internal node, since each has degree delta.  Here
+    # hb d=2 maps (0,G) onto 3: still injective per node and within 1..3,
+    # but the degree-2 nodes that write (0,G) now carry port 3.
+    family_collapse = reproduce.family_collapse
+
+    def faulty(family, d):
+        collapse = family_collapse(family, d)
+        if (family, d) != ("hb", 2):
+            return collapse
+        return PortCollapse("h(d=2)-shifted",
+                            {**collapse.mapping, (0, "G"): 3})
+
+    monkeypatch.setattr("svmv.reproduce.family_collapse", faulty)
+    rows = {row.parameter: row for row in collapse_audit_rows()}
+    assert not rows["hb d=2"].passed
+    assert rows["hb d=2"].observed == "4 internal nodes break properness"
+    assert all(row.passed for parameter, row in rows.items()
+               if parameter != "hb d=2")

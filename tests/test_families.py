@@ -190,9 +190,9 @@ def test_radius_three_ball_structure_d5():
 def test_coloured_ball_counts():
     graph = build_ball("hb", 4, ROOT, 1)
     assert len(graph.nodes) == 8
-    colours = sorted(graph.colour(v) for v in graph.nodes if v != ROOT)
+    colours = sorted(graph.colours[v] for v in graph.nodes if v != ROOT)
     assert colours == ["B", "B", "B", "B", "W", "W", "W"]
-    assert graph.colour(ROOT) == "G"
+    assert graph.colours[ROOT] == "G"
 
 
 @pytest.mark.parametrize("family", FAMILIES)

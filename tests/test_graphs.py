@@ -13,6 +13,39 @@ from svmv.graphs import (PortNumberedGraph, int_array, random_colouring,
                          random_graph)
 
 
+def test_improper_nodes_match_the_per_neighbour_definition():
+    # Each node's out- and in-labels are drawn apart from 1..deg+1, so a
+    # node can leave 1..deg on either side, or on one side only.
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        base = random_graph(rng, rng.randint(1, 12), rng.randint(1, 4))
+        ports = {}
+        for v in base.nodes:
+            near = base.neighbours(v)
+            for side in ("out", "in"):
+                labels = rng.sample(range(1, len(near) + 2), len(near))
+                ports.update({(side, v, u): p for u, p in zip(near, labels)})
+        graph = PortNumberedGraph()
+        for v in base.nodes:
+            graph.add_node(v)
+        for u, v in base.edges():
+            graph.add_edge(u, v, ports["out", u, v], ports["out", v, u],
+                           in_uv=ports["in", u, v], in_vu=ports["in", v, u])
+        want = []
+        for v in graph.nodes:
+            full = set(range(1, graph.degree(v) + 1))
+            out = {graph.out_port(v, u) for u in graph.neighbours(v)} == full
+            inn = {graph.in_port(v, u) for u in graph.neighbours(v)} == full
+            seen.add((out, inn))
+            if not (out and inn):
+                want.append(v)
+        assert graph.improper_nodes() == want
+        assert graph.is_proper() == (not want)
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
 def test_duplicate_ports_rejected_at_construction():
     graph = PortNumberedGraph()
     graph.add_edge("a", "b", 1, 1)
@@ -182,7 +215,7 @@ def test_json_round_trip_preserves_structure():
     assert len(loaded.edges()) == len(graph.edges())
     assert sorted(loaded.colours.values()) == sorted(graph.colours.values())
     root = format_path(())
-    assert loaded.colour(root) == "G"
+    assert loaded.colours[root] == "G"
     # Tuple labels survive the string round trip.
     child = format_path(((1, 0, "B"),))
     assert loaded.out_port(root, child) == (1, "B")

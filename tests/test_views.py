@@ -89,6 +89,19 @@ def test_family_views_are_the_executor_states(family, d):
             assert view_at(v, r) is trace.state(r, v)
 
 
+@pytest.mark.parametrize("family,d", [("g", 3), ("hb", 2)])
+def test_restrict_gives_the_previous_round_view(family, d):
+    # A node's round-r view holds its round-(r - 1) view: the first r - 1
+    # rounds of what it heard.  Restricting drops the last round.
+    graph = build_collapsed(family, d)
+    delta = d if family == "g" else 2 * d - 1
+    trace = execute(canonical_sv(delta), graph, max_rounds=2 * d)
+    assert trace.rounds() == 2 * d
+    for v in graph.nodes:
+        for r in range(1, 2 * d + 1):
+            assert trace.state(r, v).restrict() is trace.state(r - 1, v)
+
+
 def test_no_message_outlives_its_run():
     # Views keep their children flat, so the (port, view) messages of a run
     # die with it; the only (int, view) 2-tuples left are the flat children
