@@ -50,6 +50,9 @@ code=0; $SVMV simulate --inner multiset-echo --graph "$tmp/unlisted.json" 2> "$t
 $SVMV theorem2 --d 3 | python -c "import json, sys; r = json.load(sys.stdin); del r['timings_ms']; print(json.dumps(r, indent=2, sort_keys=True))" | diff - tests/golden/theorem2_d3.json
 $SVMV theorem1 --delta 4 | python -c "import json, sys; r = json.load(sys.stdin); del r['timings_ms']; print(json.dumps(r, indent=2, sort_keys=True))" | diff - tests/golden/theorem1_delta4.json
 
+# reproduce --seed 0 fits its memory limit.
+(ulimit -v 40960; timeout 60 $SVMV reproduce --seed 0 --out -) | diff - tests/golden/reproduce_seed0.csv
+
 # Collapsed g d=7 bisimilarity fits its memory limit.
 (ulimit -v 90112; timeout 60 $SVMV bisim --family g --d 7 --a "(1,0)" --b "(2,1)" --radius 14 --collapsed) | python -c "import json, sys; assert json.load(sys.stdin)['failing_radius'] == 12"
 echo "console checks passed"

@@ -21,8 +21,11 @@ result shared by every node it covers.  ``init``, ``emit`` and
 ``transition`` must therefore be pure functions, and states and messages
 must be hashable.
 
-A trace keeps, per round, the partition's row of node classes (shared,
-not copied) and the state of each class; per-node states, and the
+A run holds only what its next round needs.  A refinement round cuts
+each node's codes from one lazy pass over the slot arrays; a set-reception
+run memoises on the frozenset of messages it hands ``transition``; and a
+trace keeps, per round, the partition's row of node classes (shared, not
+copied) and a tuple of the classes' states.  Per-node states, and the
 delivered messages through the machine's ``emit``, are rebuilt from them
 when first read.
 """
@@ -30,9 +33,10 @@ when first read.
 from __future__ import annotations
 
 from array import array
-from functools import cache, cached_property
-from itertools import count
-from operator import add
+from collections import defaultdict
+from functools import cache, cached_property, partial
+from itertools import count, islice, repeat
+from operator import add, floordiv, sub
 from typing import Any
 
 from .errors import DidNotHaltError, MachineContractError, NumberingError
@@ -50,8 +54,9 @@ class ExecutionTrace:
     None if ``max_rounds`` ran out first.
 
     The run records each round as the partition's row of node classes
-    and the state of each class; ``states`` and ``messages`` are rebuilt
-    from them on read.
+    and a tuple of the classes' states, class id ``i * (delta + 1)`` at
+    position ``i``; ``states`` and ``messages`` are rebuilt from them on
+    read.
     """
 
     def __init__(self, delta: int, plan: RunPlan, emit):
@@ -59,12 +64,13 @@ class ExecutionTrace:
         self.stopped_round: int | None = None
         self._plan = plan
         self._emit = emit
-        self._rows: list[tuple[array, dict]] = []
+        self._rows: list[tuple[array, tuple]] = []
 
     def _node_states(self, r: int) -> list:
         """The states of round ``r`` in node order."""
         row, held = self._rows[r]
-        return list(map(held.__getitem__, row))
+        return list(map(held.__getitem__,
+                        map(floordiv, row, repeat(self.delta + 1))))
 
     @cached_property
     def states(self) -> list[dict[Any, Any]]:
@@ -95,35 +101,46 @@ class ExecutionTrace:
             i = self._plan.index[v]
             if i >= len(row):  # v joined the graph after the run
                 raise KeyError(v)
-            return held[row[i]]
+            return held[row[i] // (self.delta + 1)]
         raise IndexError(f"round {r} is negative or past an unhalted run")
 
 
 class _Partition:
     """The node classes of every round for one reception class and input.
 
-    Classes are numbered as first seen; class ``i`` has id ``i * (delta +
-    1)``, stored nowhere, so code ``class id + port`` names one (class,
-    out-port) pair, and ``code % (delta + 1)`` is the port; 0 is the epsilon
-    pad.  ``rounds[r]`` is ``(row, prevs, keys, codes)``: each node's class
-    id in round ``r``, an :func:`~svmv.graphs.int_array` in node order;
-    each class's round-``r - 1`` class by position, an ``int_array`` (empty
-    in round 0); the rest of what fixes a class's states, ``(degree,
-    input)`` in round 0, later its pads and received codes as one sorted
-    tuple, of distinct codes if ``distinct``; and the distinct codes on the
-    graph's edges, an ``int_array`` (none in round 0).
+    Classes are numbered as first seen, in node order; class ``i`` has id
+    ``i * (delta + 1)``, stored nowhere, so code ``class id + port`` names
+    one (class, out-port) pair, and ``code % (delta + 1)`` is the port; 0
+    is the epsilon pad.  ``rounds[r]`` is ``(row, prevs, keys, codes)``:
+    each node's class id in round ``r``, an :func:`~svmv.graphs.int_array`
+    in node order; each class's round-``r - 1`` class by position, an
+    ``int_array`` (empty in round 0); the rest of what fixes a class's
+    states, ``(degree, input)`` in round 0, later its pads and received
+    codes as one tuple, of distinct codes if ``distinct``; and the distinct
+    codes on the graph's edges, a sorted ``int_array`` (none in round 0).
+
+    A round streams: each node's codes are cut from one lazy pass over the
+    slots and keyed, with its previous class, as a frozenset (set
+    reception) or a sorted tuple (multiset reception), so no per-slot list
+    is ever built.
     """
 
     def __init__(self, plan: RunPlan, inputs: tuple, delta: int,
                  distinct: bool):
         self.inputs, self.distinct, self.width = inputs, distinct, delta + 1
-        degrees = (s.stop - s.start for s in plan.slices())
-        row, keys = self._number(zip(degrees, inputs))
+        ids = self._ids()
+        row = int_array(list(map(ids.__getitem__,
+                                 zip(_degrees(plan), inputs))))
+        keys = list(ids)
         self.rounds = [(row, int_array([]), keys, ())]
         # Every pair's code is positive, so a class's pads (0s, one at
-        # most for set reception) go in front of its sorted codes.
+        # most for set reception) go in front of its codes.
         self._pads = [(0,) * (min(1, delta - degree) if distinct
                               else delta - degree) for degree, _ in keys]
+
+    def _ids(self) -> defaultdict:
+        """Class ids by key, handed out as keys are first looked up."""
+        return defaultdict(partial(next, count(0, self.width)))
 
     def extend(self, plan: RunPlan):
         if len(self.rounds) > 1 and \
@@ -132,24 +149,24 @@ class _Partition:
             self.rounds.append(self.rounds[-1])
             return
         pads, prev, width = self._pads, self.rounds[-1][0], self.width
-        codes = list(map(add, map(prev.__getitem__, plan.senders), plan.ports))
-        got = map(codes.__getitem__, plan.slices())
-        if self.distinct:
-            got = map(set, got)
-        row, keys = self._number(zip(prev, map(tuple, map(sorted, got))))
-        prevs = int_array([p // width for p, _ in keys])
+        codes = map(add, map(prev.__getitem__, plan.senders), plan.ports)
+        got = map(frozenset if self.distinct else _sorted,
+                  map(islice, repeat(codes), _degrees(plan)))
+        ids = self._ids()
+        row = int_array(list(map(ids.__getitem__, zip(prev, got))))
+        prevs = int_array([p // width for p, _ in ids])
         self._pads = list(map(pads.__getitem__, prevs))
         self.rounds.append((row, prevs,
-                            [pad + got for pad, (_, got)
-                             in zip(self._pads, keys)],
-                            int_array(list(dict.fromkeys(codes)))))
+                            [pad + tuple(got) for pad, (_, got)
+                             in zip(self._pads, ids)],
+                            int_array(sorted(set().union(
+                                *[got for _, got in ids])))))
 
-    def _number(self, keys) -> tuple[array, list]:
-        """Each node's class and the classes' keys: keys numbered as first
-        seen, as they stream in."""
-        ids, width = {}, self.width
-        return int_array([ids.setdefault(key, width * len(ids))
-                          for key in keys]), list(ids)
+
+def _degrees(plan: RunPlan):
+    """Each node's degree, in node order, read off the slot bounds."""
+    bounds = plan.bounds
+    return map(sub, islice(bounds, 1, None), bounds)
 
 
 def execute(machine: StateMachine, graph: PortNumberedGraph,
@@ -167,7 +184,8 @@ def execute(machine: StateMachine, graph: PortNumberedGraph,
     delta = machine.delta
     plan = graph.run_plan(delta)
     inputs = colouring if colouring is not None else graph.colours
-    local = tuple(map(inputs.get, plan.index))
+    local = (tuple(map(inputs.get, plan.index)) if inputs
+             else (None,) * len(plan.index))
     if machine.input_alphabet is not None:
         for v, value in zip(plan.index, local):
             if value not in machine.input_alphabet:
@@ -190,31 +208,48 @@ def _sorted(codes) -> tuple:
     return tuple(sorted(codes))
 
 
+def _same(value):
+    return value
+
+
 def _rounds(machine, partition, trace, max_rounds):
     """The rounds of a run, stepped per partition class.
 
-    Distinct states get ids that are multiples of ``delta + 1``, so ``state
-    id + out-port`` names a (state, out-port) pair, and distinct messages
-    get ids from 0 (epsilon).  A class's next state is memoised per run on
-    (state id, its received message ids as a sorted tuple for multiset
-    reception, a frozenset for set reception).
+    Distinct states get ids that are multiples of ``delta + 1``, state
+    ``sid`` at ``states[sid // (delta + 1)]``, so ``state id + out-port``
+    names a (state, out-port) pair.  A class's next state is memoised per
+    run on (state id, what it received).  For set reception that is the
+    frozenset of its messages, passed on as ``received`` as it is; for
+    multiset reception, its message ids as a sorted tuple, messages getting
+    ids from 0 (epsilon) as first emitted.
     """
     emit, transition, stopping = (machine.emit, machine.transition,
                                   machine.stopping)
-    if machine.reception_class == MV:
-        reduce, canonical = vmset_reduce, _sorted
-    else:
-        reduce, canonical = vset_reduce, frozenset
     width, plan = partition.width, trace._plan
     delta = machine.delta
-    state_of, state_id, stops = {}, {}, set()
-    message_of, message_id = [EPSILON], {EPSILON: 0}
+    states, state_id, stops = [], {}, set()
+    if machine.reception_class == MV:
+        reduce, canonical = vmset_reduce, _sorted
+        message_of, message_id = [EPSILON], {EPSILON: 0}
+
+        def token(message):
+            mid = message_id.get(message)
+            if mid is None:
+                mid = message_id[message] = len(message_of)
+                message_of.append(message)
+            return mid
+
+        def received_of(mids):
+            return reduce(map(message_of.__getitem__, mids))
+    else:
+        reduce = canonical = vset_reduce
+        token = received_of = _same
 
     def identify(state):
         sid = state_id.get(state)
         if sid is None:
-            sid = state_id[state] = width * len(state_id)
-            state_of[sid] = state
+            sid = state_id[state] = width * len(states)
+            states.append(state)
             if stopping(state):
                 for port in range(1, delta + 1):
                     if emit(state, port) is not EPSILON:
@@ -229,48 +264,42 @@ def _rounds(machine, partition, trace, max_rounds):
 
     current = [identify(machine.init(*key))
                for key in partition.rounds[0][2]]
-    memo = {}
+    memo, pad = {}, token(EPSILON)
     for r in range(max_rounds + 1):
         if r == len(partition.rounds):
             partition.extend(plan)
         row, prevs, keys, codes = partition.rounds[r]
         if r:
             pairs = [current[c // width] + c % width for c in codes]
-            emitted, talked = dict.fromkeys(pairs), False
-            for pair in emitted:
+            said, loud = dict.fromkeys(pairs), {}
+            for pair in said:
                 port = pair % width
-                m = emit(state_of[pair - port], port)
-                mid = message_id.get(m)
-                if mid is None:
-                    mid = message_id[m] = len(message_of)
-                    message_of.append(m)
-                emitted[pair] = mid
-                talked = talked or (mid and pair - port in stops)
-            mid_of = dict(zip(codes, map(emitted.__getitem__, pairs)))
-            mid_of[0] = 0
-            if talked:
+                m = emit(states[pair // width], port)
+                if m is not EPSILON and pair - port in stops:
+                    loud[pair] = m
+                said[pair] = token(m)
+            said_by = dict(zip(codes, map(said.__getitem__, pairs)))
+            said_by[0] = pad
+            if loud:
                 sids = [current[c // width]
                         for c in partition.rounds[r - 1][0]]
                 for u, port in zip(plan.senders, plan.ports):
-                    mid = emitted[sids[u] + port]
-                    if mid and sids[u] in stops:
+                    if sids[u] + port in loud:
                         raise MachineContractError(
                             f"stopped node {list(plan.index)[u]!r} emitted "
-                            f"{message_of[mid]!r} in round {r}")
+                            f"{loud[sids[u] + port]!r} in round {r}")
             nxt = []
             for prev, got in zip(prevs, keys):
                 sid = current[prev]
                 if sid not in stops:
-                    key = (sid, canonical(map(mid_of.__getitem__, got)))
+                    key = (sid, canonical(map(said_by.__getitem__, got)))
                     sid = memo.get(key)
                     if sid is None:
-                        received = reduce(map(message_of.__getitem__, key[1]))
-                        sid = memo[key] = identify(
-                            transition(state_of[key[0]], received))
+                        sid = memo[key] = identify(transition(
+                            states[key[0] // width], received_of(key[1])))
                 nxt.append(sid)
             current = nxt
-        held = map(state_of.__getitem__, current)  # class i has id i * width
-        trace._rows.append((row, dict(zip(count(0, width), held))))
+        trace._rows.append((row, tuple([states[s // width] for s in current])))
         if stops.issuperset(current):
             trace.stopped_round = r
             return

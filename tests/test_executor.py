@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -8,13 +9,14 @@ from oracles import reference_execute
 from svmv.errors import (DegreeBoundError, DidNotHaltError,
                          MachineContractError, NumberingError)
 from svmv.executor import execute, local_outputs
-from svmv.families import ROOT, build_collapsed
+from svmv.families import ROOT, build_collapsed, node_degree
 from svmv.graphs import PortNumberedGraph, random_colouring, random_graph
 from svmv.machines import (AD_HOC_SV_MACHINES, EPSILON, MV, SV,
                            StateMachine, set_fold_hash, vmset_reduce,
                            vset_reduce)
 from svmv.problem import output_colour, solve_pi_mv
 from svmv.simulate import multiset_echo, mv_by_sv
+from svmv.util import derive_seed
 from svmv.views import canonical_sv
 
 
@@ -523,3 +525,80 @@ def test_machines_of_one_class_share_the_partition_of_a_graph():
     execute(multiset_echo(3), graph, max_rounds=2)
     assert plan.partitions[SV] is partition
     assert plan.partitions[MV] is not partition
+
+
+def _simulation_draws(seed, cases=50):
+    """``(graph, colouring, delta)`` as ``reproduce.simulation_rows`` draws
+    its instances: n in 1..40, delta in 1..5, isolated nodes included."""
+    rng = random.Random(derive_seed(seed, "simulation-differential"))
+    for i in range(cases):
+        n = rng.randint(1, 40)
+        delta = rng.randint(1, 5)
+        graph = random_graph(rng, n, delta)
+        colouring = random_colouring(rng, graph)
+        if i % 2:
+            rng.randint(1, 3)  # the draw of multiset_echo's rounds
+        yield graph, colouring, delta
+
+
+def _refinement_case(case):
+    """``(graph, colouring, delta)`` of a named case: a collapsed tree by
+    family and parameter, or the i-th of 50 seeded random instances."""
+    family, k = case.rsplit("-", 1)
+    if family == "random":
+        return next(islice(_simulation_draws(0), int(k), None))
+    delta = int(k) if family == "g" else node_degree(family, ROOT, int(k))
+    return build_collapsed(family, int(k)), None, delta
+
+
+def _groups_alike(row, labels) -> bool:
+    """Whether class ids ``row`` and ``labels``, both in node order, group
+    the nodes alike: no class holds two labels, no label two classes."""
+    pairs = set(zip(row, labels))
+    return len(pairs) == len(set(row)) == len(set(labels))
+
+
+def _multiset_refinement(graph, colouring, rounds):
+    """Per-node colour refinement by (own colour, multiset of (sender's
+    colour, sender's out-port)), each round's colours numbered from 0."""
+    colour = {v: (graph.degree(v), colouring.get(v)) for v in graph.nodes}
+    out = []
+    for r in range(rounds + 1):
+        if r:
+            colour = {v: (colour[v], tuple(sorted(
+                (colour[u], graph.out_port(u, v))
+                for u in graph.neighbours(v)))) for v in graph.nodes}
+        ids = {}
+        colour = {v: ids.setdefault(c, len(ids)) for v, c in colour.items()}
+        out.append(colour)
+    return out
+
+
+@pytest.mark.parametrize("case", ["g-2", "g-3", "g-4", "hb-2", "hb-3",
+                                  "hw-2", "hw-3"]
+                         + [f"random-{i}" for i in range(50)])
+def test_partition_rows_are_the_view_classes(case):
+    # The partition's rows are colour refinement on the port-numbered
+    # graph.  Set-reception rows group the nodes as the canonical_sv views
+    # of a per-node run do, compared by identity, in every round through
+    # 2*delta - 2; multiset-reception rows group them as a per-node
+    # multiset refinement does.  A merged or split class fails either.
+    graph, colouring, delta = _refinement_case(case)
+    rounds = 2 * delta - 2
+    plan = graph.run_plan(delta)
+    nodes = list(plan.index)
+    execute(canonical_sv(delta), graph, colouring, max_rounds=rounds)
+    states, _, _ = reference_execute(canonical_sv(delta), graph, colouring,
+                                     rounds)
+    quiet = StateMachine("quiet-mv", delta, MV, lambda deg, inp: 0,
+                         lambda s, p: EPSILON, lambda s, received: s,
+                         lambda s: False)
+    execute(quiet, graph, colouring, max_rounds=rounds)
+    colours = _multiset_refinement(
+        graph, graph.colours if colouring is None else colouring, rounds)
+    sets, multisets = plan.partitions[SV], plan.partitions[MV]
+    for r in range(rounds + 1):
+        views = [id(states[r][v]) for v in nodes]
+        assert _groups_alike(sets.rounds[r][0], views), r
+        assert _groups_alike(multisets.rounds[r][0],
+                             [colours[r][v] for v in nodes]), r

@@ -73,33 +73,37 @@ def _traced(call: str) -> tuple[int, int]:
 
 
 def test_theorem1_delta4_memory_peak():
-    # It reads about 6.3 MiB.  It read 7.0 when each view kept its children
-    # as (port, view) pair tuples, each partition class a (class id,
-    # (previous class, received codes)) tuple pair, and every int array 4
-    # bytes a value; and 7.2 when the run plan also kept a tuple of the
-    # index's node keys and a tuple of degrees, where it now reads node order
-    # off the shared index and degrees off its slot bounds.  A label dict
-    # per node, out- and in-maps from node to dict and an index of the run
-    # plan's own read about 10.0, and with them: Python ints and tuples in
-    # the run plan, the partition rows and the graph's edge list, and
-    # frozensets in the partition and the views, about 12.3; one slice
-    # object per node in the run plan and a true_degree entry for every node
-    # of the whole tree, about 13.9; running the unread round 2*delta - 1,
-    # about 18.
+    # It reads about 5.9 MiB.  It read 6.3 when each refinement round built a
+    # list of every slot's code, set-reception runs numbered their messages and
+    # memoised on frozensets of those numbers, and each trace round kept its
+    # class states in a dict.  It read 7.0 when each view kept its children as
+    # (port, view) pair tuples, each partition class a (class id, (previous
+    # class, received codes)) tuple pair, and every int array 4 bytes a value;
+    # and 7.2 when the run plan also kept a tuple of the index's node keys and
+    # a tuple of degrees, where it now reads node order off the shared index
+    # and degrees off its slot bounds.  A label dict per node, out- and in-maps
+    # from node to dict and an index of the run plan's own read about 10.0, and
+    # with them: Python ints and tuples in the run plan, the partition rows and
+    # the graph's edge list, and frozensets in the partition and the views,
+    # about 12.3; one slice object per node in the run plan and a true_degree
+    # entry for every node of the whole tree, about 13.9; running the unread
+    # round 2*delta - 1, about 18.
     peak, _ = _traced("run_theorem1(4)")
-    assert peak < 7.4 * 2**20
+    assert peak < 7.0 * 2**20
 
 
 def test_theorem2_d3_memory_peak():
-    # It reads about 5.6 MiB.  Pair tuples as view children, a tuple pair
-    # per partition class and 4-byte int arrays read about 6.7, and with
-    # them a label dict per node and a second key tuple per interned view
-    # about 7.2; with those, Python ints, tuples and frozensets in place of
-    # the packed run state and view children read about 9.6.  Building both coloured trees before running either,
-    # so that two graphs, run plans and partitions are alive at once, read
-    # about 13.4.
+    # It reads about 4.7 MiB.  A list of every slot's code per refinement
+    # round, message numbers and their frozensets in set-reception runs, and a
+    # dict of class states per trace round read about 5.7.  Pair tuples as view
+    # children, a tuple pair per partition class and 4-byte int arrays read
+    # about 6.7, and with them a label dict per node and a second key tuple per
+    # interned view about 7.2; with those, Python ints, tuples and frozensets
+    # in place of the packed run state and view children read about 9.6.
+    # Building both coloured trees before running either, so that two graphs,
+    # run plans and partitions are alive at once, read about 13.4.
     peak, _ = _traced("run_theorem2(3)")
-    assert peak < 7.0 * 2**20
+    assert peak < 6.1 * 2**20
 
 
 def test_theorem2_d3_interned_views_memory():
